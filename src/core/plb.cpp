@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
+#include <map>
+#include <numeric>
 
 #include "common/assert.hpp"
 
@@ -88,44 +89,54 @@ bool fits_in_one_plb(const PlbArchitecture& arch, const std::vector<ConfigKind>&
   return assign(needs, 0, free_slots);
 }
 
+TileStateTable::TileStateTable(const PlbArchitecture& arch) {
+  // Breadth-first from the empty tile, so state ids are discovery order; each
+  // multiset one configuration beyond a state is probed once.
+  std::map<ConfigCounts, State> seen{{ConfigCounts{}, kEmpty}};
+  contents_.emplace_back();
+  std::vector<ConfigKind> probe;
+  for (std::size_t s = 0; s < contents_.size(); ++s) {
+    for (int k = 0; k < kNumConfigKinds; ++k) {
+      ConfigCounts grown = contents_[s];
+      ++grown[static_cast<std::size_t>(k)];
+      const auto [it, fresh] = seen.emplace(grown, kReject);
+      if (fresh) {
+        probe.clear();
+        for (int j = 0; j < kNumConfigKinds; ++j)
+          probe.insert(probe.end(), static_cast<std::size_t>(grown[static_cast<std::size_t>(j)]),
+                       static_cast<ConfigKind>(j));
+        if (fits_in_one_plb(arch, probe)) {
+          VPGA_ASSERT_MSG(num_states() < kMaxStates,
+                          (arch.name + " has more feasible tile multisets than "
+                                       "TileStateTable::kMaxStates").c_str());
+          it->second = num_states();
+          contents_.push_back(grown);
+        }
+      }
+      next_.push_back(it->second);
+    }
+  }
+}
+
 std::vector<std::vector<ConfigKind>> maximal_packings(
     const PlbArchitecture& arch, const std::vector<ConfigKind>& comb_configs) {
-  std::set<std::vector<ConfigKind>> all;
-  // DFS over multisets (non-decreasing kind order avoids permutations).
-  std::vector<ConfigKind> cur;
-  cur.reserve(comb_configs.size());
-  auto dfs = [&](auto&& self, std::size_t start) -> void {
-    bool extended = false;
-    for (std::size_t i = start; i < comb_configs.size(); ++i) {
-      cur.push_back(comb_configs[i]);
-      if (fits_in_one_plb(arch, cur)) {
-        extended = true;
-        self(self, i);
-      }
-      cur.pop_back();
-    }
-    if (!extended && !cur.empty()) all.insert(cur);
-  };
-  dfs(dfs, 0);
-  // Drop multisets that are strict sub-multisets of another (non-maximal ones
-  // can appear when extension succeeds only along a different branch order).
-  std::vector<std::vector<ConfigKind>> out(all.begin(), all.end());
-  auto is_submultiset = [](const std::vector<ConfigKind>& a, const std::vector<ConfigKind>& b) {
-    if (a.size() >= b.size()) return false;
-    std::array<int, kNumConfigKinds> cnt{};
-    for (auto k : b) ++cnt[static_cast<std::size_t>(k)];
-    for (auto k : a)
-      if (--cnt[static_cast<std::size_t>(k)] < 0) return false;
-    return true;
-  };
+  // Feasibility is monotone, so a multiset over `comb_configs` is maximal iff
+  // adding any one of them is rejected.
+  const TileStateTable table(arch);
   std::vector<std::vector<ConfigKind>> maximal;
-  maximal.reserve(out.size());
-  for (const auto& a : out) {
-    bool dominated = false;
-    for (const auto& b : out)
-      if (is_submultiset(a, b)) { dominated = true; break; }
-    if (!dominated) maximal.push_back(a);
+  maximal.reserve(static_cast<std::size_t>(table.num_states()));
+  for (TileStateTable::State s = TileStateTable::kEmpty + 1; s < table.num_states(); ++s) {
+    const ConfigCounts& counts = table.contents(s);
+    std::vector<ConfigKind> combo;
+    bool extensible = false;
+    for (ConfigKind k : comb_configs) {
+      combo.insert(combo.end(), static_cast<std::size_t>(counts[static_cast<std::size_t>(k)]), k);
+      extensible = extensible || table.add(s, k) != TileStateTable::kReject;
+    }
+    const auto held = std::accumulate(counts.begin(), counts.end(), std::size_t{0});
+    if (!extensible && combo.size() == held) maximal.push_back(std::move(combo));
   }
+  std::sort(maximal.begin(), maximal.end());
   return maximal;
 }
 

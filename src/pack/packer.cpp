@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <mutex>
+#include <string>
 
 #include "common/assert.hpp"
-#include "common/concurrency.hpp"
 #include "obs/obs.hpp"
 
 namespace vpga::pack {
@@ -14,6 +13,7 @@ namespace {
 
 using core::ConfigKind;
 using core::PlbArchitecture;
+using core::TileStateTable;
 using netlist::Netlist;
 using netlist::NodeId;
 using netlist::NodeType;
@@ -38,14 +38,19 @@ ConfigKind config_of(const Netlist& nl, NodeId id) {
 }
 
 /// An atomic packing unit: a single configuration node, or a multi-output
-/// macro (full adder) whose members must land in the same tile.
+/// macro (full adder) whose members must land in the same tile and share the
+/// representative's one combined configuration.
 struct Group {
   std::uint32_t rep = 0;
   std::vector<std::uint32_t> members;
-  std::vector<ConfigKind> configs;
+  ConfigKind kind{};
+  std::size_t footprint = 0;  ///< component slots `kind` occupies
 };
 
-std::vector<Group> build_groups(const Netlist& nl) {
+/// Groups in node-id order of their first member. Aborts on a configuration
+/// that no tile of `arch` can host: no array size would legalize it.
+std::vector<Group> build_groups(const Netlist& nl, const PlbArchitecture& arch,
+                                const TileStateTable& table) {
   std::vector<Group> groups;
   // Reps are node ids, so a dense index beats a hash map in the packer's
   // hottest entry path; one counting pass sizes `groups` exactly.
@@ -62,25 +67,38 @@ std::vector<Group> build_groups(const Netlist& nl) {
     std::size_t& slot = index_of_rep[rep];
     if (slot == kNoGroup) {
       slot = groups.size();
-      groups.push_back(Group{rep, {}, {}});
+      groups.push_back(Group{rep, {}, config_of(nl, NodeId(rep)), 0});
     }
     groups[slot].members.push_back(id.value());
   }
+  const auto& specs = core::config_specs();
   for (auto& g : groups) {
-    if (g.members.size() > 1 || nl.node(NodeId(g.rep)).in_macro()) {
-      // Macro: one combined configuration (currently only the full adder).
-      g.configs = {config_of(nl, NodeId(g.rep))};
-    } else {
-      g.configs = {config_of(nl, NodeId(g.members[0]))};
-    }
+    VPGA_ASSERT_MSG(static_cast<int>(g.kind) < core::kNumConfigKinds &&
+                        table.add(TileStateTable::kEmpty, g.kind) != TileStateTable::kReject,
+                    (std::string("configuration ") + core::to_string(g.kind) +
+                     " does not fit in an empty " + arch.name + " tile")
+                        .c_str());
+    g.footprint = specs[static_cast<std::size_t>(g.kind)].needs.size();
   }
   return groups;
 }
 
-/// A tile being filled.
-struct Tile {
-  std::vector<ConfigKind> contents;
-};
+/// First-fit bin packing of `groups` in order; returns the tile count. One
+/// cursor per kind only moves forward: every tile below cursor[k] has
+/// rejected k, and keeps rejecting it as it fills (monotone feasibility), so
+/// the count equals probing every tile per group in O(groups + tiles x kinds).
+int first_fit(const std::vector<Group>& groups, const TileStateTable& table) {
+  std::vector<TileStateTable::State> tiles;
+  tiles.reserve(groups.size());  // worst case: every group opens a tile
+  std::array<std::size_t, core::kNumConfigKinds> cursor{};
+  for (const Group& g : groups) {
+    std::size_t& t = cursor[static_cast<std::size_t>(g.kind)];
+    while (t < tiles.size() && table.add(tiles[t], g.kind) == TileStateTable::kReject) ++t;
+    if (t == tiles.size()) tiles.push_back(TileStateTable::kEmpty);
+    tiles[t] = table.add(tiles[t], g.kind);
+  }
+  return static_cast<int>(tiles.size());
+}
 
 /// Per-class demand tally. ComponentClass is a bitmask over the
 /// kNumPlbComponents component kinds, so every possible class fits in a flat
@@ -90,7 +108,7 @@ using DemandTally = std::array<int, std::size_t{1} << core::kNumPlbComponents>;
 
 /// Hall-condition feasibility of a demand multiset against `tiles` copies of
 /// the architecture's slots (necessary aggregate condition used to balance
-/// quadrants; per-tile grouping is enforced later by fits_in_one_plb).
+/// quadrants; per-tile grouping is enforced later by the tile-state table).
 bool hall_feasible(const PlbArchitecture& arch, int tiles, const DemandTally& demand) {
   for (unsigned subset = 0; subset < (1u << core::kNumPlbComponents); ++subset) {
     int cap = 0;
@@ -104,44 +122,16 @@ bool hall_feasible(const PlbArchitecture& arch, int tiles, const DemandTally& de
   return true;
 }
 
-void add_demand(DemandTally& d, const Group& g) {
-  for (ConfigKind k : g.configs)
-    for (auto cls : core::config_spec(k).needs) ++d[cls];
-}
-
-/// Backing store of pack::pack_tally(). pack() runs on four threads under a
-/// parallel compare, hence the lock discipline.
-struct PackTally {
-  std::mutex mu;
-  long long packs FABRIC_GUARDED_BY(mu) = 0;
-  long long grow_attempts FABRIC_GUARDED_BY(mu) = 0;
-};
-
-PackTally& pack_tally_storage() {
-  static PackTally tally;
-  return tally;
+/// Adds (`delta` = 1) or removes (-1) one configuration's needs.
+void add_demand(DemandTally& d, const core::ConfigSpec& spec, int delta) {
+  for (auto cls : spec.needs) d[cls] += delta;
 }
 
 }  // namespace
 
 int first_fit_tile_count(const Netlist& nl, const PlbArchitecture& arch) {
-  const auto groups = build_groups(nl);
-  std::vector<Tile> tiles;
-  tiles.reserve(groups.size());  // worst case: every group opens a tile
-  for (const auto& g : groups) {
-    bool placed = false;
-    for (auto& t : tiles) {
-      const auto before = t.contents.size();
-      t.contents.insert(t.contents.end(), g.configs.begin(), g.configs.end());
-      if (core::fits_in_one_plb(arch, t.contents)) {
-        placed = true;
-        break;
-      }
-      t.contents.resize(before);
-    }
-    if (!placed) tiles.push_back(Tile{g.configs});
-  }
-  return static_cast<int>(tiles.size());
+  const TileStateTable table(arch);
+  return first_fit(build_groups(nl, arch, table), table);
 }
 
 PackedDesign pack(const Netlist& nl, const place::Placement& placed,
@@ -151,12 +141,21 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
   out.legal = placed;
   out.tile_of_node.assign(nl.num_nodes(), -1);
 
-  const auto groups = build_groups(nl);
+  const TileStateTable table(arch);
+  const auto& specs = core::config_specs();
+  const auto groups = build_groups(nl, arch, table);
   obs::count("pack.groups", static_cast<long long>(groups.size()));
+  auto spec_of = [&](std::size_t gi) -> const core::ConfigSpec& {
+    return specs[static_cast<std::size_t>(groups[gi].kind)];
+  };
 
-  const int lower_bound = std::max(1, first_fit_tile_count(nl, arch));
+  int first_fit_tiles = 0;
+  {
+    const obs::Span bound_span("pack.lower_bound");
+    first_fit_tiles = std::max(1, first_fit(groups, table));
+  }
   int target_tiles = std::max(
-      1, static_cast<int>(std::ceil(static_cast<double>(lower_bound) * opts.initial_margin)));
+      1, static_cast<int>(std::ceil(static_cast<double>(first_fit_tiles) * opts.initial_margin)));
 
   auto group_criticality = [&](const Group& g) {
     if (opts.criticality.empty()) return 0.0;
@@ -167,7 +166,7 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
 
   // Scratch reused across grow attempts: the grid dimensions change per
   // attempt but the heap capacity carries over.
-  std::vector<Tile> tiles;
+  std::vector<TileStateTable::State> tiles;
   std::vector<int> tile_of;
   for (;; target_tiles = std::max(target_tiles + 1,
                                   static_cast<int>(target_tiles * 1.06)),
@@ -175,7 +174,7 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     const obs::Span attempt_span("pack.attempt");
     const int gw = std::max(1, static_cast<int>(std::ceil(std::sqrt(target_tiles))));
     const int gh = (target_tiles + gw - 1) / gw;
-    tiles.assign(static_cast<std::size_t>(gw) * gh, Tile{});
+    tiles.assign(static_cast<std::size_t>(gw) * gh, TileStateTable::kEmpty);
     tile_of.assign(nl.num_nodes(), -1);
 
     // Map placed coordinates onto the tile grid (group position = its rep's).
@@ -227,7 +226,7 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
       for (auto gi : r.items) {
         const int q = quadrant_of(gi);
         quad[q].items.push_back(gi);
-        add_demand(demand[q], groups[gi]);
+        add_demand(demand[q], spec_of(gi), 1);
       }
       // Rebalance: spill least-critical groups from infeasible quadrants.
       for (int q = 0; q < nq; ++q) {
@@ -239,15 +238,14 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
                !hall_feasible(arch, src.w * src.h, demand[q])) {
           const auto gi = src.items.back();
           src.items.pop_back();
-          for (ConfigKind k : groups[gi].configs)
-            for (auto cls : core::config_spec(k).needs) --demand[q][cls];
+          add_demand(demand[q], spec_of(gi), -1);
           // Receiver: the sibling with the most slack that stays feasible.
           int best = -1;
           int best_slack = -1;
           for (int q2 = 0; q2 < nq; ++q2) {
             if (q2 == q) continue;
             auto d2 = demand[q2];
-            add_demand(d2, groups[gi]);
+            add_demand(d2, spec_of(gi), 1);
             if (!hall_feasible(arch, quad[q2].w * quad[q2].h, d2)) continue;
             int cap = 0, used = 0;
             for (int c = 0; c < core::kNumPlbComponents; ++c)
@@ -260,11 +258,11 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
           }
           if (best < 0) {  // parent region too tight: keep and let spiral fix
             src.items.push_back(gi);
-            add_demand(demand[q], groups[gi]);
+            add_demand(demand[q], spec_of(gi), 1);
             break;
           }
           quad[best].items.push_back(gi);
-          add_demand(demand[best], groups[gi]);
+          add_demand(demand[best], spec_of(gi), 1);
         }
       }
       for (int q = 0; q < nq; ++q) self(self, std::move(quad[q]));
@@ -280,26 +278,17 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     // --- leaf filling + spiral relocation for overflow -----------------------
     bool ok = true;
     auto try_place = [&](std::size_t gi, int tx, int ty) {
-      Tile& t = tiles[static_cast<std::size_t>(ty) * gw + tx];
-      const auto before = t.contents.size();
-      t.contents.insert(t.contents.end(), groups[gi].configs.begin(),
-                        groups[gi].configs.end());
-      if (core::fits_in_one_plb(arch, t.contents)) {
-        for (auto v : groups[gi].members) tile_of[v] = ty * gw + tx;
-        return true;
-      }
-      t.contents.resize(before);
-      return false;
+      auto& state = tiles[static_cast<std::size_t>(ty) * gw + tx];
+      const auto next = table.add(state, groups[gi].kind);
+      if (next == TileStateTable::kReject) return false;
+      state = next;
+      for (auto v : groups[gi].members) tile_of[v] = ty * gw + tx;
+      return true;
     };
     // Two-phase fill, wide footprints first: a full-adder macro needs a
     // completely free tile, so all macros claim tiles (leaf position, then
     // nearest-available spiral) before single configurations trickle in —
     // otherwise stranded macros force array growth.
-    auto footprint = [&](std::size_t gi) {
-      std::size_t slots = 0;
-      for (ConfigKind k : groups[gi].configs) slots += core::config_spec(k).needs.size();
-      return slots;
-    };
     auto spiral_place = [&](std::size_t gi) {
       const int cx = tile_x(groups[gi]), cy = tile_y(groups[gi]);
       for (int radius = 0; radius < gw + gh; ++radius) {
@@ -323,11 +312,12 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
         overflow.clear();
         for (const auto& leaf : leaves)
           for (auto gi : leaf.items) {
-            if ((footprint(gi) >= kBigFootprint) != big_phase) continue;
+            if ((groups[gi].footprint >= kBigFootprint) != big_phase) continue;
             if (!try_place(gi, leaf.x0, leaf.y0)) overflow.push_back(gi);
           }
         std::sort(overflow.begin(), overflow.end(), [&](std::size_t a, std::size_t b) {
-          if (footprint(a) != footprint(b)) return footprint(a) > footprint(b);
+          if (groups[a].footprint != groups[b].footprint)
+            return groups[a].footprint > groups[b].footprint;
           return group_criticality(groups[a]) > group_criticality(groups[b]);
         });
         obs::count("pack.spiral_relocations", static_cast<long long>(overflow.size()));
@@ -384,27 +374,22 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     }
     int used = 0;
     std::array<int, core::kNumPlbComponents> slots_used{};
-    for (const auto& t : tiles) {
-      if (t.contents.empty()) continue;
+    for (const TileStateTable::State t : tiles) {
+      if (t == TileStateTable::kEmpty) continue;
       ++used;
-      for (ConfigKind k : t.contents)
-        for (auto cls : core::config_spec(k).needs)
+      const core::ConfigCounts& held = table.contents(t);
+      for (std::size_t k = 0; k < held.size(); ++k)
+        for (auto cls : specs[k].needs)
           for (int c = 0; c < core::kNumPlbComponents; ++c)
             if (core::class_accepts(cls, static_cast<core::PlbComponent>(c))) {
               // Attribution for the report only: count against the first
               // accepting component kind.
-              ++slots_used[static_cast<std::size_t>(c)];
+              slots_used[static_cast<std::size_t>(c)] += held[k];
               break;
             }
     }
     out.plbs_used = used;
     obs::count("pack.grow_attempts", out.grow_attempts);
-    {
-      PackTally& tally = pack_tally_storage();
-      const std::lock_guard<std::mutex> lock(tally.mu);
-      ++tally.packs;
-      tally.grow_attempts += out.grow_attempts;
-    }
     for (int c = 0; c < core::kNumPlbComponents; ++c) {
       const int cap = used * arch.component_count[static_cast<std::size_t>(c)];
       out.slot_utilization[static_cast<std::size_t>(c)] =
@@ -412,12 +397,6 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     }
     return out;
   }
-}
-
-PackTallySnapshot pack_tally() {
-  PackTally& tally = pack_tally_storage();
-  const std::lock_guard<std::mutex> lock(tally.mu);
-  return {tally.packs, tally.grow_attempts};
 }
 
 }  // namespace vpga::pack

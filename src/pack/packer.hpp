@@ -5,8 +5,8 @@
 ///
 /// The algorithm follows the paper: recursive quadrisection assigns
 /// configuration nodes to array regions balancing resource supply against
-/// demand; within a region, nodes fill tiles under the exact
-/// fits_in_one_plb() resource model; overflow relocates to "the nearest
+/// demand; within a region, nodes fill tiles under the architecture's exact
+/// tile-state table (core::TileStateTable); overflow relocates to "the nearest
 /// region of the chip that has unused resources available" (spiral search).
 /// The cost function minimizes perturbation of the ASIC-style placement and
 /// protects timing-critical nodes (they move last). The packer is run inside
@@ -24,8 +24,8 @@ struct PackOptions {
   /// Criticality per node in [0,1] (empty = uniform); critical nodes are
   /// assigned first so they land nearest their placed positions.
   std::vector<double> criticality;
-  /// Extra tiles allowed beyond the first-fit lower bound before the array
-  /// grows (models array sizing slack).
+  /// Extra tiles allowed beyond the first-fit count before the array grows
+  /// (models array sizing slack).
   double initial_margin = 1.05;
 };
 
@@ -49,21 +49,14 @@ struct PackedDesign {
 
 /// Packs a compacted netlist (every comb node carries a config_tag or is an
 /// INV/BUF cell) into the smallest PLB array that legalizes successfully.
+/// Aborts if a configuration fits no tile of `arch` (no array would do).
 PackedDesign pack(const netlist::Netlist& nl, const place::Placement& placed,
                   const core::PlbArchitecture& arch, const PackOptions& opts = {});
 
-/// Lower bound on tiles by first-fit bin packing in placement order (used to
-/// size the array; also a useful density metric on its own).
+/// Tiles used by first-fit bin packing of the configuration groups in
+/// node-id order. pack() sizes its first array from this count: a feasible
+/// packing, so an upper bound on the minimum tile count, not a lower bound
+/// (also a useful density metric on its own). Aborts like pack().
 int first_fit_tile_count(const netlist::Netlist& nl, const core::PlbArchitecture& arch);
-
-/// Process-lifetime packer counters, accumulated across every pack() call in
-/// the process. pack() runs concurrently under FlowOptions::parallel_compare,
-/// so the backing store is mutex-guarded (FABRIC_GUARDED_BY,
-/// src/common/concurrency.hpp) and read through a locked snapshot.
-struct PackTallySnapshot {
-  long long packs = 0;          ///< completed pack() calls
-  long long grow_attempts = 0;  ///< summed array-size retries
-};
-[[nodiscard]] PackTallySnapshot pack_tally();
 
 }  // namespace vpga::pack

@@ -16,6 +16,7 @@ namespace vpga::verify {
 
 using core::ConfigKind;
 using core::PlbArchitecture;
+using core::TileStateTable;
 using library::CellKind;
 using netlist::Netlist;
 using netlist::Node;
@@ -92,6 +93,7 @@ void check_post_map(const Netlist& nl, const PlbArchitecture& arch, const std::s
 
 void check_post_compact(const Netlist& nl, const PlbArchitecture& arch,
                         const std::string& stage, VerifyReport& report) {
+  const TileStateTable table(arch);
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
     const NodeId id{i};
     const Node& n = nl.node(id);
@@ -124,7 +126,7 @@ void check_post_compact(const Netlist& nl, const PlbArchitecture& arch,
                      " is not supported by " + arch.name);
       continue;
     }
-    if (!core::fits_in_one_plb(arch, {kind}))
+    if (table.add(TileStateTable::kEmpty, kind) == TileStateTable::kReject)
       report.add(Severity::kError, "compact.config-overflow", stage, id,
                  std::string("configuration ") + core::to_string(kind) +
                      " exceeds one " + arch.name + " tile's component slots");
@@ -151,9 +153,20 @@ void check_post_pack(const Netlist& nl, const pack::PackedDesign& packed,
   };
 
   // Occupancy per tile (flat, indexed by tile id — every insertion below is
-  // bounds-checked first), with each macro contributing its representative's
-  // combined configuration once (the packer's atomic-unit semantics).
-  std::vector<std::vector<ConfigKind>> occupancy(static_cast<std::size_t>(tiles));
+  // bounds-checked first), walked through the packer's tile-state table, with
+  // each macro contributing its representative's combined configuration once
+  // (the packer's atomic-unit semantics). A rejected tile stays rejected.
+  struct Occupancy {
+    TileStateTable::State state = TileStateTable::kEmpty;
+    int configs = 0;
+  };
+  const TileStateTable table(arch);
+  std::vector<Occupancy> occupancy(static_cast<std::size_t>(tiles));
+  auto occupy = [&](int tile, ConfigKind k) {
+    Occupancy& o = occupancy[static_cast<std::size_t>(tile)];
+    ++o.configs;
+    if (o.state != TileStateTable::kReject) o.state = table.add(o.state, k);
+  };
   std::unordered_map<std::uint32_t, int> macro_tile;
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
     const NodeId id{i};
@@ -191,19 +204,17 @@ void check_post_pack(const Netlist& nl, const pack::PackedDesign& packed,
                          std::to_string(it->second));
         continue;  // the group's configuration was already counted once
       }
-      occupancy[static_cast<std::size_t>(tile)].push_back(config_of(nl.node(n.macro_rep)));
+      occupy(tile, config_of(nl.node(n.macro_rep)));
       continue;
     }
-    occupancy[static_cast<std::size_t>(tile)].push_back(config_of(n));
+    occupy(tile, config_of(n));
   }
 
   for (int tile = 0; tile < tiles; ++tile) {
-    const auto& contents = occupancy[static_cast<std::size_t>(tile)];
-    if (contents.empty()) continue;
-    if (!core::fits_in_one_plb(arch, contents))
+    const Occupancy& o = occupancy[static_cast<std::size_t>(tile)];
+    if (o.state == TileStateTable::kReject)
       report.add(Severity::kError, "pack.capacity", stage, NodeId{},
-                 "tile " + std::to_string(tile) + " holds " +
-                     std::to_string(contents.size()) +
+                 "tile " + std::to_string(tile) + " holds " + std::to_string(o.configs) +
                      " configurations exceeding one " + arch.name + " tile");
   }
 }

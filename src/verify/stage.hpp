@@ -19,13 +19,14 @@
 ///   compact.unsupported-config the architecture's interconnect cannot form
 ///                              this configuration
 ///   compact.config-overflow    the configuration alone exceeds one PLB's
-///                              component slots (fits_in_one_plb)
+///                              component slots (core::TileStateTable)
 ///   compact.macro-rep          broken multi-output macro grouping
 ///
 /// post-pack (legalized PLB array):
 ///   pack.unassigned            a slot-consuming node has no tile
 ///   pack.tile-bounds           a tile index is outside the grid
 ///   pack.capacity              a tile's occupants exceed its component slots
+///                              (the packer's core::TileStateTable)
 ///   pack.macro-split           members of one macro landed in several tiles
 ///
 /// post-route (routed PLB array):

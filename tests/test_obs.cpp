@@ -371,7 +371,7 @@ TEST(FlowObs, FlowBRecordsEveryStageSpan) {
     if (s.name == "stage.pack") stage_pack_depth = s.depth;
     if (s.name == "stage.route") stage_route_depth = s.depth;
   }
-  for (const char* child : {"pack.attempt", "pack.fill"}) {
+  for (const char* child : {"pack.lower_bound", "pack.attempt", "pack.fill"}) {
     ASSERT_TRUE(rep.obs.has_span(child)) << child;
     for (const auto& s : rep.obs.spans)
       if (s.name == child) EXPECT_GT(s.depth, stage_pack_depth) << child;

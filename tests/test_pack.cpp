@@ -158,14 +158,65 @@ TEST(Pack, SlotUtilizationReported) {
   EXPECT_GT(total, 0.0);
 }
 
-TEST(Pack, PackTallyAccumulatesAcrossCalls) {
-  const auto arch = PlbArchitecture::granular();
-  const auto p = prepare(designs::make_ripple_adder(8), arch);
-  const auto before = pack_tally();
-  const auto d = pack(p.nl, p.placed, arch);
-  const auto after = pack_tally();
-  EXPECT_EQ(after.packs, before.packs + 1);
-  EXPECT_EQ(after.grow_attempts, before.grow_attempts + d.grow_attempts);
+/// Reference first-fit count: groups in node-id order of their first member,
+/// each probing every open tile with fits_in_one_plb, O(groups x tiles).
+int reference_first_fit(const netlist::Netlist& nl, const PlbArchitecture& arch) {
+  std::vector<ConfigKind> group_kinds;
+  std::vector<bool> seen(nl.num_nodes(), false);
+  for (netlist::NodeId id : nl.all_nodes()) {
+    const auto& n = nl.node(id);
+    if (n.type != netlist::NodeType::kDff &&
+        !(n.type == netlist::NodeType::kComb && n.has_config()))
+      continue;
+    const netlist::NodeId rep = n.in_macro() ? n.macro_rep : id;
+    if (seen[rep.index()]) continue;
+    seen[rep.index()] = true;
+    const auto& r = nl.node(rep);
+    group_kinds.push_back(r.type == netlist::NodeType::kDff
+                              ? ConfigKind::kFf
+                              : static_cast<ConfigKind>(r.config_tag));
+  }
+  std::vector<std::vector<ConfigKind>> tiles;
+  for (ConfigKind k : group_kinds) {
+    bool placed = false;
+    for (auto& t : tiles) {
+      t.push_back(k);
+      if (core::fits_in_one_plb(arch, t)) {
+        placed = true;
+        break;
+      }
+      t.pop_back();
+    }
+    if (!placed) tiles.push_back({k});
+  }
+  return static_cast<int>(tiles.size());
+}
+
+TEST(Pack, FirstFitMatchesProbeLoopReference) {
+  const std::vector<netlist::Netlist> sources = {
+      designs::make_alu(8).netlist, designs::make_firewire(4, 8).netlist,
+      designs::make_fpu(4, 6).netlist, designs::make_network_switch(4, 8).netlist};
+  for (const auto& arch : {PlbArchitecture::granular(), PlbArchitecture::lut_based()}) {
+    for (const auto& src : sources) {
+      const auto mapped =
+          synth::tech_map(src, synth::cell_target(arch), synth::Objective::kDelay);
+      const auto nl = compact::compact(mapped.netlist, arch).netlist;
+      const int tiles = first_fit_tile_count(nl, arch);
+      EXPECT_GT(tiles, 0);
+      EXPECT_EQ(tiles, reference_first_fit(nl, arch)) << arch.name;
+    }
+  }
+}
+
+TEST(PackDeathTest, UnhostableConfigurationAbortsLoudly) {
+  // A LUT-mapped adder carries LUT3 configurations, which no granular tile
+  // hosts: without the check pack() would grow the array forever.
+  const auto p = prepare(designs::make_ripple_adder(2), PlbArchitecture::lut_based());
+  const auto granular = PlbArchitecture::granular();
+  EXPECT_DEATH((void)pack(p.nl, p.placed, granular),
+               "configuration LUT3 does not fit in an empty granular_plb tile");
+  EXPECT_DEATH((void)first_fit_tile_count(p.nl, granular),
+               "configuration LUT3 does not fit in an empty granular_plb tile");
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
-// Property test: the backtracking resource model in fits_in_one_plb agrees
+// Property tests: the backtracking resource model in fits_in_one_plb agrees
 // with an independent brute-force enumerator on every small configuration
-// multiset, for every stock architecture and FF-count variant.
+// multiset, for every stock architecture and FF-count variant; and the
+// tile-state table built from it agrees with it on every multiset up to one
+// configuration past a full tile.
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <numeric>
 
+#include "core/arch_io.hpp"
 #include "core/plb.hpp"
 
 namespace vpga::core {
@@ -89,6 +93,67 @@ TEST_P(ResourceModelSweep, BacktrackingMatchesBruteForce) {
 // Sizes 1..4 cover every simultaneous combination the paper discusses
 // (8 config kinds -> 330 multisets of size 4, x4 architectures).
 INSTANTIATE_TEST_SUITE_P(Sizes, ResourceModelSweep, ::testing::Range(1, 5));
+
+/// The stock architectures plus a custom tile with twice the granular
+/// capacity, which holds two full adders at once.
+std::vector<PlbArchitecture> table_architectures() {
+  auto archs = architectures();
+  const auto wide = parse_architecture(
+      "plb wide\n"
+      "components xoa=2 mux=4 nd3=2 dff=2\n"
+      "configs MX ND3 NDMX XOAMX XOANDMX FF FA\n"
+      "tile_area 200\ncomb_area 130\nend\n");
+  EXPECT_TRUE(wide.ok) << wide.error;
+  archs.push_back(wide.arch);
+  return archs;
+}
+
+TEST(TileStateTable, TransitionsMatchOracleUpToAFullTile) {
+  std::vector<ConfigKind> alphabet;
+  for (int i = 0; i < kNumConfigKinds; ++i) alphabet.push_back(static_cast<ConfigKind>(i));
+  for (const auto& arch : table_architectures()) {
+    const TileStateTable table(arch);
+    // Every configuration takes at least one slot, so no feasible multiset
+    // is larger than the tile's slot count.
+    const int slots =
+        std::accumulate(arch.component_count.begin(), arch.component_count.end(), 0);
+    int feasible = 0;
+    for (int size = 0; size <= slots + 1; ++size) {
+      for_each_multiset(alphabet, size, [&](const std::vector<ConfigKind>& multiset) {
+        // Walk the table in insertion order; a rejected tile stays rejected.
+        TileStateTable::State s = TileStateTable::kEmpty;
+        ConfigCounts counts{};
+        for (ConfigKind k : multiset) {
+          ++counts[static_cast<std::size_t>(k)];
+          if (s != TileStateTable::kReject) s = table.add(s, k);
+        }
+        const bool fits = fits_in_one_plb(arch, multiset);
+        ASSERT_EQ(s != TileStateTable::kReject, fits) << arch.name << " size " << size;
+        if (!fits) return;
+        ++feasible;
+        EXPECT_EQ(table.contents(s), counts) << arch.name;
+      });
+    }
+    // One state per feasible multiset, the empty tile included.
+    EXPECT_EQ(table.num_states(), feasible) << arch.name;
+  }
+}
+
+TEST(TileStateTable, StateCountsOfStockArchitectures) {
+  EXPECT_EQ(TileStateTable(PlbArchitecture::granular()).num_states(), 44);
+  EXPECT_EQ(TileStateTable(PlbArchitecture::lut_based()).num_states(), 12);
+  EXPECT_EQ(TileStateTable(PlbArchitecture::granular_with_ffs(8)).num_states(), 198);
+}
+
+TEST(TileStateTableDeathTest, OversizedArchitectureAbortsLoudly) {
+  // Independent LUT3, ND3 and FF slots: 65^3 feasible multisets.
+  const auto huge = parse_architecture(
+      "plb huge\ncomponents lut3=64 nd3=64 dff=64\nconfigs LUT3 ND3 FF\n"
+      "tile_area 1\ncomb_area 1\nend\n");
+  ASSERT_TRUE(huge.ok) << huge.error;
+  EXPECT_DEATH(TileStateTable{huge.arch},
+               "huge has more feasible tile multisets than TileStateTable::kMaxStates");
+}
 
 TEST(ResourceModel, EmptyMultisetAlwaysFits) {
   for (const auto& arch : architectures()) EXPECT_TRUE(fits_in_one_plb(arch, {}));
