@@ -165,6 +165,10 @@ void append_run(std::string& out, const FlowReport& r, const std::string& design
   append_num(out, r.die_area_um2);
   out += ",\"wirelength_um\":";
   append_num(out, r.wirelength_um);
+  out += ",\"route_overflow_edges\":";
+  append_num(out, r.route_overflow_edges);
+  out += ",\"route_peak_congestion\":";
+  append_num(out, r.route_peak_congestion);
   out += ",\"critical_delay_ps\":";
   append_num(out, r.critical_delay_ps);
   out += ",\"plbs\":";

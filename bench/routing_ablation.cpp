@@ -49,9 +49,11 @@ int main() {
   }
   std::printf(
       "Reading: the smallest track count with zero overflow is the routing\n"
-      "fabric a regular (prefabricated) VPGA metal stack must provide (the\n"
-      "router negotiates L-shape orientations, not detours, so these counts\n"
-      "are conservative). The denser granular array also routes with fewer\n"
-      "tracks: shorter nets over a smaller die.\n");
+      "fabric a regular (prefabricated) VPGA metal stack must provide. The\n"
+      "router negotiates L-shape orientations, then detours each connection\n"
+      "that still overflows once through a congestion-priced maze search; it\n"
+      "does not iterate to zero overflow, so these counts are conservative.\n"
+      "The denser granular array also routes with fewer tracks: shorter nets\n"
+      "over a smaller die.\n");
   return 0;
 }

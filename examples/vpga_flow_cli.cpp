@@ -178,6 +178,8 @@ int main(int argc, char** argv) {
   std::printf("die area      %.0f um2%s\n", r.die_area_um2,
               which == 'b' ? (" (" + std::to_string(r.plbs) + " PLBs)").c_str() : "");
   std::printf("wirelength    %.0f um\n", r.wirelength_um);
+  std::printf("routing       %d edges over capacity, peak congestion %.3f\n",
+              r.route_overflow_edges, r.route_peak_congestion);
   std::printf("critical path %.0f ps (clock %.0f ps, top-10 slack %.1f ps)\n",
               r.critical_delay_ps, r.clock_period_ps, r.avg_slack_top10_ps);
   if (verify_level != verify::VerifyLevel::kOff)

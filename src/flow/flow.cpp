@@ -101,6 +101,8 @@ FlowReport run_flow_impl(const designs::BenchmarkDesign& design,
       routed = route::route(nl, placed, cell_pitch);
     }
     rep.wirelength_um = routed.total_wirelength_um;
+    rep.route_overflow_edges = routed.overflow_edges;
+    rep.route_peak_congestion = routed.peak_congestion;
     sta.net_length_um = routed.net_length_um;
     const obs::Span span("stage.sta");
     const auto t = timing::analyze(nl, placed, sta);
@@ -140,6 +142,8 @@ FlowReport run_flow_impl(const designs::BenchmarkDesign& design,
     verify::enforce(verifier.check(verify::Stage::kPostRoute, nl, nullptr, &packed));
   }
   rep.wirelength_um = routed.total_wirelength_um;
+  rep.route_overflow_edges = routed.overflow_edges;
+  rep.route_peak_congestion = routed.peak_congestion;
   sta.net_length_um = routed.net_length_um;
   const obs::Span span("stage.sta");
   const auto t = timing::analyze(nl, packed.legal, sta);

@@ -70,6 +70,10 @@ struct FlowReport {
   double wns_ps = 0.0;
   double critical_delay_ps = 0.0;
   double wirelength_um = 0.0;
+  /// Router legality: edges over capacity after negotiation and the peak
+  /// edge usage / capacity (route::RoutingResult).
+  int route_overflow_edges = 0;
+  double route_peak_congestion = 0.0;
   int plbs = 0;                        ///< flow b only
   double max_displacement_um = 0.0;    ///< flow b legalization perturbation
   compact::CompactionReport compaction;

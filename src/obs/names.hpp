@@ -35,7 +35,7 @@ inline constexpr std::array<std::string_view, 22> kSpanNames = {
 /// exposes them; `flow.alloc_*` are the run-wide memtrack totals (per-span
 /// totals are the dynamic "<span>.alloc_bytes" family, exempt by
 /// construction like every concatenated name).
-inline constexpr std::array<std::string_view, 60> kMetricNames = {
+inline constexpr std::array<std::string_view, 61> kMetricNames = {
     "map.cuts_enumerated", "map.match_attempts", "map.dp_rounds", "map.nodes_emitted",
     "compact.cover_rounds",
     "pack.groups", "pack.grow_attempts", "pack.spiral_relocations", "pack.displacement_um",
@@ -43,7 +43,7 @@ inline constexpr std::array<std::string_view, 60> kMetricNames = {
     "flow.alloc_bytes", "flow.alloc_count", "flow.peak_live_bytes",
     "place.median_sweeps", "place.sa_moves", "place.sa_accepted",
     "route.nets", "route.connections", "route.ripups", "route.maze_routes",
-    "route.overflow_edges", "route.peak_congestion",
+    "route.maze_expansions", "route.overflow_edges", "route.peak_congestion",
     "serve.queue_depth", "serve.cache_hit_rate",
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",

@@ -2,32 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
-#include <queue>
 
 #include "common/assert.hpp"
 #include "obs/obs.hpp"
+#include "route/maze.hpp"
 
 namespace vpga::route {
 namespace {
 
 using netlist::Netlist;
 using netlist::NodeId;
-
-/// Edge-usage grid: horizontal edges (x,y)->(x+1,y) and vertical edges.
-struct UsageGrid {
-  int w, h;
-  std::vector<int> horiz;  // (w-1) * h
-  std::vector<int> vert;   // w * (h-1)
-
-  UsageGrid(int w_, int h_)
-      : w(w_), h(h_), horiz(static_cast<std::size_t>(std::max(0, w - 1)) * h, 0),
-        vert(static_cast<std::size_t>(w) * std::max(0, h - 1), 0) {}
-
-  int& h_edge(int x, int y) { return horiz[static_cast<std::size_t>(y) * (w - 1) + x]; }
-  int& v_edge(int x, int y) { return vert[static_cast<std::size_t>(y) * w + x]; }
-};
 
 struct TwoPin {
   std::uint32_t driver;
@@ -39,18 +24,12 @@ struct TwoPin {
 int walk_l(UsageGrid& g, const TwoPin& c, bool x_first, int delta) {
   int peak = 0;
   auto seg_h = [&](int xa, int xb, int y) {
-    for (int x = std::min(xa, xb); x < std::max(xa, xb); ++x) {
-      auto& u = g.h_edge(x, y);
-      u += delta;
-      peak = std::max(peak, u);
-    }
+    for (int x = std::min(xa, xb); x < std::max(xa, xb); ++x)
+      peak = std::max(peak, g.add_h_edge(x, y, delta));
   };
   auto seg_v = [&](int ya, int yb, int x) {
-    for (int y = std::min(ya, yb); y < std::max(ya, yb); ++y) {
-      auto& u = g.v_edge(x, y);
-      u += delta;
-      peak = std::max(peak, u);
-    }
+    for (int y = std::min(ya, yb); y < std::max(ya, yb); ++y)
+      peak = std::max(peak, g.add_v_edge(x, y, delta));
   };
   if (x_first) {
     seg_h(c.x0, c.x1, c.y0);
@@ -63,7 +42,7 @@ int walk_l(UsageGrid& g, const TwoPin& c, bool x_first, int delta) {
 }
 
 /// Probes the max usage an L-route would see (delta = 0 walk).
-int probe_l(UsageGrid& g, const TwoPin& c, bool x_first) {
+int probe_l(const UsageGrid& g, const TwoPin& c, bool x_first) {
   int peak = 0;
   auto seg_h = [&](int xa, int xb, int y) {
     for (int x = std::min(xa, xb); x < std::max(xa, xb); ++x)
@@ -81,60 +60,6 @@ int probe_l(UsageGrid& g, const TwoPin& c, bool x_first) {
     seg_h(c.x0, c.x1, c.y1);
   }
   return peak;
-}
-
-/// Congestion-aware maze route (Dijkstra over grid edges) for connections
-/// the L-shapes cannot place without overflow. Edge cost: 1 + quadratic
-/// penalty above capacity. Returns the path as a node sequence and applies
-/// usage; returns the routed length in edges.
-int maze_route(UsageGrid& g, const TwoPin& c, int capacity) {
-  const int w = g.w, h = g.h;
-  const auto idx = [&](int x, int y) { return y * w + x; };
-  const int n = w * h;
-  std::vector<double> dist(static_cast<std::size_t>(n),
-                           std::numeric_limits<double>::infinity());
-  std::vector<int> prev(static_cast<std::size_t>(n), -1);
-  using Entry = std::pair<double, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  const int src = idx(c.x0, c.y0), dst = idx(c.x1, c.y1);
-  dist[static_cast<std::size_t>(src)] = 0.0;
-  heap.emplace(0.0, src);
-  auto edge_cost = [&](int usage) {
-    const int over = usage + 1 - capacity;
-    return 1.0 + (over > 0 ? 4.0 * over * over : 0.0);
-  };
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (v == dst) break;
-    if (d > dist[static_cast<std::size_t>(v)]) continue;
-    const int x = v % w, y = v / w;
-    const int dx[4] = {1, -1, 0, 0}, dy[4] = {0, 0, 1, -1};
-    for (int k = 0; k < 4; ++k) {
-      const int nx = x + dx[k], ny = y + dy[k];
-      if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
-      const int usage = dx[k] != 0 ? g.h_edge(std::min(x, nx), y) : g.v_edge(x, std::min(y, ny));
-      const double nd = d + edge_cost(usage);
-      const int u = idx(nx, ny);
-      if (nd < dist[static_cast<std::size_t>(u)]) {
-        dist[static_cast<std::size_t>(u)] = nd;
-        prev[static_cast<std::size_t>(u)] = v;
-        heap.emplace(nd, u);
-      }
-    }
-  }
-  if (prev[static_cast<std::size_t>(dst)] < 0 && src != dst) return -1;
-  // Walk back, applying usage.
-  int edges = 0;
-  for (int v = dst; v != src;) {
-    const int p = prev[static_cast<std::size_t>(v)];
-    const int x0 = p % w, y0 = p / w, x1 = v % w, y1 = v / w;
-    if (y0 == y1) ++g.h_edge(std::min(x0, x1), y0);
-    else ++g.v_edge(x0, std::min(y0, y1));
-    ++edges;
-    v = p;
-  }
-  return edges;
 }
 
 }  // namespace
@@ -265,25 +190,30 @@ RoutingResult route(const Netlist& nl, const place::Placement& placed, double ti
   }
 
   // Final repair: connections still riding overloaded edges abandon their
-  // L-shape for a congestion-priced maze detour.
+  // L-shape for a congestion-priced maze detour (maze.hpp). The search's
+  // scratch is reused by every connection of this call.
   std::vector<int> edges_of(pins.size());
   for (std::size_t i = 0; i < pins.size(); ++i)
     edges_of[i] = std::abs(pins[i].x1 - pins[i].x0) + std::abs(pins[i].y1 - pins[i].y0);
   if (opts.ripup_iterations > 0) {
-    const obs::Span repair_span("route.maze_repair");
-    long long maze_routes = 0;  // counted once below
-    for (std::size_t i = 0; i < pins.size(); ++i) {
-      if (probe_l(grid, pins[i], x_first[i] != 0) <= opts.capacity_per_edge) continue;
-      walk_l(grid, pins[i], x_first[i] != 0, -1);
-      ++maze_routes;
-      const int detour = maze_route(grid, pins[i], opts.capacity_per_edge);
-      if (detour >= 0) {
-        edges_of[i] = detour;
-      } else {
-        walk_l(grid, pins[i], x_first[i] != 0, +1);  // restore; keep the L
+    long long maze_routes = 0;
+    long long maze_expansions = 0;
+    {
+      const obs::Span repair_span("route.maze_repair");
+      MazeSearch maze;
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        if (probe_l(grid, pins[i], x_first[i] != 0) <= opts.capacity_per_edge) continue;
+        walk_l(grid, pins[i], x_first[i] != 0, -1);
+        ++maze_routes;
+        edges_of[i] = maze.route(grid, grid.node(pins[i].x0, pins[i].y0),
+                                 grid.node(pins[i].x1, pins[i].y1), opts.capacity_per_edge);
       }
+      maze_expansions = maze.expansions();
     }
+    // Counted once, after the span: the metric registry's allocations are
+    // bookkeeping, so the span's memory columns measure the repair alone.
     obs::count("route.maze_routes", maze_routes);
+    obs::count("route.maze_expansions", maze_expansions);
   }
 
   // Statistics and per-net lengths.
@@ -294,11 +224,11 @@ RoutingResult route(const Netlist& nl, const place::Placement& placed, double ti
   }
   int overflow = 0;
   int peak = 0;
-  for (int u : grid.horiz) {
+  for (int u : grid.horiz()) {
     peak = std::max(peak, u);
     overflow += u > opts.capacity_per_edge ? 1 : 0;
   }
-  for (int u : grid.vert) {
+  for (int u : grid.vert()) {
     peak = std::max(peak, u);
     overflow += u > opts.capacity_per_edge ? 1 : 0;
   }

@@ -4,10 +4,12 @@
 /// VPGA performs *on top of* the PLB array (upper metal layers), and the
 /// conventional routing of the flow-a ASIC implementation.
 ///
-/// Nets are star-decomposed into 2-pin connections routed as L-shapes with
-/// congestion-aware orientation choice; overflowed regions are repaired by
-/// rip-up and bounded A* maze re-routing with congestion cost (a compact
-/// PathFinder-style negotiation).
+/// Each net becomes 2-pin connections along a Prim minimum spanning tree of
+/// its driver and sinks (Manhattan metric). Every connection is first routed
+/// as the less congested L-shape; rip-up rounds then re-choose the
+/// orientation of connections through overloaded edges. Connections that
+/// still overflow are re-routed once by a congestion-priced A* maze search
+/// over the whole grid (maze.hpp), which may detour.
 
 #include <vector>
 
@@ -20,6 +22,7 @@ struct RouterOptions {
   /// Routing tracks per grid-edge per direction (upper-metal abundance in a
   /// VPGA means this is rarely the limit; congestion still shapes paths).
   int capacity_per_edge = 24;
+  /// Orientation rip-up rounds; 0 also skips maze repair.
   int ripup_iterations = 2;
 };
 

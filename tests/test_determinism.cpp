@@ -43,6 +43,8 @@ void expect_reports_identical(const flow::FlowReport& a, const flow::FlowReport&
   expect_bits_equal(a.wns_ps, b.wns_ps, "wns_ps");
   expect_bits_equal(a.critical_delay_ps, b.critical_delay_ps, "critical_delay_ps");
   expect_bits_equal(a.wirelength_um, b.wirelength_um, "wirelength_um");
+  EXPECT_EQ(a.route_overflow_edges, b.route_overflow_edges);
+  expect_bits_equal(a.route_peak_congestion, b.route_peak_congestion, "route_peak_congestion");
   EXPECT_EQ(a.plbs, b.plbs);
   expect_bits_equal(a.max_displacement_um, b.max_displacement_um, "max_displacement_um");
   EXPECT_EQ(a.verify.size(), b.verify.size());
@@ -120,6 +122,9 @@ TEST(Determinism, MemtrackObservesWithoutPerturbing) {
   expect_bits_equal(plain.wns_ps, tracked.wns_ps, "wns_ps");
   expect_bits_equal(plain.critical_delay_ps, tracked.critical_delay_ps, "critical_delay_ps");
   expect_bits_equal(plain.wirelength_um, tracked.wirelength_um, "wirelength_um");
+  EXPECT_EQ(plain.route_overflow_edges, tracked.route_overflow_edges);
+  expect_bits_equal(plain.route_peak_congestion, tracked.route_peak_congestion,
+                    "route_peak_congestion");
   EXPECT_EQ(plain.plbs, tracked.plbs);
   expect_bits_equal(plain.max_displacement_um, tracked.max_displacement_um, "max_displacement_um");
 

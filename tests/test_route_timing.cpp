@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <queue>
+#include <random>
+#include <thread>
+#include <vector>
+
 #include "compact/compact.hpp"
 #include "designs/designs.hpp"
+#include "obs/obs.hpp"
 #include "place/placement.hpp"
+#include "route/maze.hpp"
 #include "route/router.hpp"
 #include "synth/mapper.hpp"
 #include "timing/sta.hpp"
@@ -71,6 +81,282 @@ TEST(Route, DeterministicAndFinite) {
   const auto r2 = route::route(p.nl, p.placed, 8.0);
   EXPECT_DOUBLE_EQ(r1.total_wirelength_um, r2.total_wirelength_um);
   EXPECT_GE(r1.peak_congestion, 0.0);
+}
+
+/// Routes with metrics on and reads the maze-repair counters of the call.
+struct CountedRoute {
+  route::RoutingResult result;
+  long long maze_routes = 0;
+  long long maze_expansions = 0;
+};
+
+CountedRoute route_counted(const Prepared& p, int capacity) {
+  route::RouterOptions opts;
+  opts.capacity_per_edge = capacity;
+  obs::ObsContext ctx(/*trace=*/false, /*metrics=*/true);
+  CountedRoute run;
+  {
+    const obs::ScopedObs bind(&ctx);
+    run.result = route::route(p.nl, p.placed, 8.0, opts);
+  }
+  run.maze_routes = ctx.metrics().counter("route.maze_routes");
+  run.maze_expansions = ctx.metrics().counter("route.maze_expansions");
+  return run;
+}
+
+/// Routed length of every net in tiles (lengths are whole tiles of 8 um).
+std::vector<int> tile_counts(const route::RoutingResult& r) {
+  std::vector<int> tiles;
+  tiles.reserve(r.net_length_um.size());
+  for (double len : r.net_length_um) {
+    tiles.push_back(static_cast<int>(len / 8.0));
+    EXPECT_EQ(tiles.back() * 8.0, len);
+  }
+  return tiles;
+}
+
+std::uint64_t fnv1a(const std::vector<int>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int v : values) {
+    hash ^= static_cast<std::uint32_t>(v);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// At these capacities most connections fall through orientation negotiation
+// into maze repair, so the search decides the routes. The values were
+// recorded from the full-grid Dijkstra that the A* search replaced.
+TEST(Route, MazeRepairResultsPinned) {
+  {
+    const auto p = prepare(designs::make_alu(8).netlist);
+    const auto run = route_counted(p, 2);
+    EXPECT_EQ(run.maze_routes, 443);
+    EXPECT_EQ(run.result.total_wirelength_um, 7496.0);
+    EXPECT_EQ(run.result.overflow_edges, 136);
+    EXPECT_EQ(run.result.peak_congestion, 5.0);
+    constexpr int kTiles[] = {
+        26, 5, 2, 1, 4, 5, 0, 0, 5, 5, 26, 1, 2, 3, 2, 1, 5, 9, 9, 7, 8, 12, 13, 13, 12,
+        14, 8, 14, 16, 12, 8, 7, 6, 8, 2, 22, 11, 5, 4, 1, 1, 1, 2, 2, 1, 2, 0, 1, 4, 7, 1,
+        5, 2, 6, 0, 5, 9, 22, 1, 9, 1, 1, 6, 1, 4, 2, 1, 6, 3, 1, 2, 0, 2, 0, 2, 3, 2, 3,
+        1, 3, 1, 3, 1, 4, 1, 2, 5, 1, 0, 3, 9, 2, 0, 2, 1, 3, 1, 2, 1, 1, 0, 2, 4, 2, 4, 2,
+        3, 3, 2, 3, 2, 3, 3, 3, 4, 5, 1, 2, 2, 1, 4, 2, 9, 1, 6, 3, 2, 8, 1, 1, 3, 2, 1, 3,
+        1, 11, 0, 3, 2, 2, 2, 5, 4, 2, 3, 0, 3, 0, 4, 4, 2, 4, 0, 2, 3, 1, 7, 2, 2, 2, 1,
+        1, 3, 17, 0, 3, 1, 13, 1, 12, 2, 1, 2, 17, 1, 3, 2, 2, 5, 4, 3, 3, 4, 3, 3, 17, 1,
+        3, 7, 2, 2, 9, 6, 2, 1, 2, 4, 3, 2, 2, 6, 1, 1, 6, 2, 1, 15, 3, 2, 0, 2, 1, 0, 1,
+        3, 1, 2, 0, 5, 1, 1, 5, 3, 1, 2, 4, 3, 1, 0, 1, 3, 1, 1, 1, 2, 3, 4, 1, 1, 1, 1, 7,
+        2, 0, 0, 4, 3, 2, 3, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    };
+    EXPECT_EQ(tile_counts(run.result), std::vector<int>(std::begin(kTiles), std::end(kTiles)));
+    EXPECT_GT(run.maze_expansions, 0);
+    EXPECT_EQ(route_counted(p, 2).maze_expansions, run.maze_expansions);
+  }
+  {
+    const auto p = prepare(designs::make_network_switch(4, 8).netlist);
+    const auto run = route_counted(p, 4);
+    EXPECT_EQ(run.maze_routes, 2667);
+    EXPECT_EQ(run.result.total_wirelength_um, 68808.0);
+    EXPECT_EQ(run.result.overflow_edges, 798);
+    EXPECT_EQ(run.result.peak_congestion, 4.75);
+    // 1544 nets: pinned by size, sum and an FNV-1a digest of the tile counts.
+    const auto tiles = tile_counts(run.result);
+    ASSERT_EQ(tiles.size(), 1544u);
+    long long sum = 0;
+    for (int t : tiles) sum += t;
+    EXPECT_EQ(sum, 8601);
+    EXPECT_EQ(fnv1a(tiles), 0x4932092064b64d78ULL);
+    EXPECT_GT(run.maze_expansions, 0);
+    EXPECT_EQ(route_counted(p, 4).maze_expansions, run.maze_expansions);
+  }
+}
+
+// Each route() call owns its maze scratch: four concurrent calls on the
+// pinned switch must each reproduce the serial result.
+TEST(Route, ConcurrentMazeRepairMatchesSerial) {
+  const auto p = prepare(designs::make_network_switch(4, 8).netlist);
+  route::RouterOptions opts;
+  opts.capacity_per_edge = 4;
+  const auto serial = route::route(p.nl, p.placed, 8.0, opts);
+  std::vector<route::RoutingResult> results(4);
+  std::vector<std::thread> workers;
+  workers.reserve(results.size());
+  for (auto& r : results)
+    workers.emplace_back([&r, &p, &opts] { r = route::route(p.nl, p.placed, 8.0, opts); });
+  for (auto& t : workers) t.join();
+  for (const auto& r : results) {
+    EXPECT_EQ(r.total_wirelength_um, serial.total_wirelength_um);
+    EXPECT_EQ(r.overflow_edges, serial.overflow_edges);
+    EXPECT_EQ(r.peak_congestion, serial.peak_congestion);
+    EXPECT_EQ(r.net_length_um, serial.net_length_um);
+  }
+}
+
+// Each cut's least usage must track arbitrary updates, including the rise
+// of its last least-used edge, which forces a rescan.
+TEST(UsageGrid, CutMinimaFollowUpdates) {
+  std::mt19937 rng(7);
+  for (const auto& [w, h] :
+       {std::pair{2, 2}, std::pair{2, 9}, std::pair{9, 2}, std::pair{13, 11}}) {
+    route::UsageGrid g(w, h);
+    for (int step = 0; step < 4000; ++step) {
+      const int delta = std::uniform_int_distribution<int>(-2, 3)(rng);
+      if (rng() % 2 == 0) {
+        const int x = static_cast<int>(rng() % static_cast<unsigned>(w - 1));
+        const int y = static_cast<int>(rng() % static_cast<unsigned>(h));
+        const int now = g.add_h_edge(x, y, delta);
+        EXPECT_EQ(now, g.h_edge(x, y));
+      } else {
+        const int x = static_cast<int>(rng() % static_cast<unsigned>(w));
+        const int y = static_cast<int>(rng() % static_cast<unsigned>(h - 1));
+        const int now = g.add_v_edge(x, y, delta);
+        EXPECT_EQ(now, g.v_edge(x, y));
+      }
+      for (int x = 0; x + 1 < w; ++x) {
+        int least = g.h_edge(x, 0);
+        for (int y = 1; y < h; ++y) least = std::min(least, g.h_edge(x, y));
+        ASSERT_EQ(g.col_cut_min(x), least) << "step " << step << " column cut " << x;
+      }
+      for (int y = 0; y + 1 < h; ++y) {
+        int least = g.v_edge(0, y);
+        for (int x = 1; x < w; ++x) least = std::min(least, g.v_edge(x, y));
+        ASSERT_EQ(g.row_cut_min(y), least) << "step " << step << " row cut " << y;
+      }
+    }
+  }
+}
+
+struct Conn {
+  int x0, y0, x1, y1;
+};
+
+/// The router's usage grid and maze search before the search became an A*:
+/// a full-grid Dijkstra that pops in (distance, node index) order and
+/// relaxes on a strict `<`. Kept verbatim as the oracle for MazeSearch,
+/// except that the walk-back also records the path, sink first.
+struct ReferenceGrid {
+  int w, h;
+  std::vector<int> horiz;  // (w-1) * h
+  std::vector<int> vert;   // w * (h-1)
+
+  ReferenceGrid(int w_, int h_)
+      : w(w_), h(h_), horiz(static_cast<std::size_t>(std::max(0, w - 1)) * h, 0),
+        vert(static_cast<std::size_t>(w) * std::max(0, h - 1), 0) {}
+
+  int& h_edge(int x, int y) { return horiz[static_cast<std::size_t>(y) * (w - 1) + x]; }
+  int& v_edge(int x, int y) { return vert[static_cast<std::size_t>(y) * w + x]; }
+};
+
+int reference_maze_route(ReferenceGrid& g, const Conn& c, int capacity, std::vector<int>& path) {
+  const int w = g.w, h = g.h;
+  const auto idx = [&](int x, int y) { return y * w + x; };
+  const int n = w * h;
+  std::vector<double> dist(static_cast<std::size_t>(n),
+                           std::numeric_limits<double>::infinity());
+  std::vector<int> prev(static_cast<std::size_t>(n), -1);
+  using Entry = std::pair<double, int>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  const int src = idx(c.x0, c.y0), dst = idx(c.x1, c.y1);
+  dist[static_cast<std::size_t>(src)] = 0.0;
+  heap.emplace(0.0, src);
+  auto edge_cost = [&](int usage) {
+    const int over = usage + 1 - capacity;
+    return 1.0 + (over > 0 ? 4.0 * over * over : 0.0);
+  };
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (v == dst) break;
+    if (d > dist[static_cast<std::size_t>(v)]) continue;
+    const int x = v % w, y = v / w;
+    const int dx[4] = {1, -1, 0, 0}, dy[4] = {0, 0, 1, -1};
+    for (int k = 0; k < 4; ++k) {
+      const int nx = x + dx[k], ny = y + dy[k];
+      if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
+      const int usage = dx[k] != 0 ? g.h_edge(std::min(x, nx), y) : g.v_edge(x, std::min(y, ny));
+      const double nd = d + edge_cost(usage);
+      const int u = idx(nx, ny);
+      if (nd < dist[static_cast<std::size_t>(u)]) {
+        dist[static_cast<std::size_t>(u)] = nd;
+        prev[static_cast<std::size_t>(u)] = v;
+        heap.emplace(nd, u);
+      }
+    }
+  }
+  if (prev[static_cast<std::size_t>(dst)] < 0 && src != dst) return -1;
+  // Walk back, applying usage.
+  path.assign(1, dst);
+  int edges = 0;
+  for (int v = dst; v != src;) {
+    const int p = prev[static_cast<std::size_t>(v)];
+    const int x0 = p % w, y0 = p / w, x1 = v % w, y1 = v / w;
+    if (y0 == y1) ++g.h_edge(std::min(x0, x1), y0);
+    else ++g.v_edge(x0, std::min(y0, y1));
+    ++edges;
+    v = p;
+    path.push_back(v);
+  }
+  return edges;
+}
+
+// Seeded random usage grids from 2x2 to 65x65 with usages below, at and far
+// above capacity. One MazeSearch serves every call, so its epoch-stamped
+// scratch is reused across grids of different sizes; after each call the
+// path and the whole usage grid must equal the reference's.
+TEST(Maze, MatchesReferenceDijkstra) {
+  std::mt19937 rng(2004);
+  const auto uniform = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  route::MazeSearch search;
+  int calls = 0;
+  long long expansions = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const int w = trial == 0 ? 2 : trial == 1 ? 65 : uniform(2, 65);
+    const int h = trial == 0 ? 2 : trial == 1 ? 65 : uniform(2, 65);
+    const int capacity = std::vector<int>{1, 2, 4, 24}[static_cast<std::size_t>(uniform(0, 3))];
+    // Regimes 0-2: every edge below, around or far above capacity; 3 mixes them.
+    const int regime = trial % 4;
+    const auto draw = [&] {
+      switch (regime == 3 ? uniform(0, 2) : regime) {
+        case 0: return uniform(0, capacity - 1);
+        case 1: return uniform(capacity - 1, capacity + 1);
+        default: return uniform(capacity, 40 * capacity + 40);
+      }
+    };
+    route::UsageGrid fast(w, h);
+    ReferenceGrid ref(w, h);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x + 1 < w; ++x) ref.h_edge(x, y) = fast.add_h_edge(x, y, draw());
+    for (int y = 0; y + 1 < h; ++y)
+      for (int x = 0; x < w; ++x) ref.v_edge(x, y) = fast.add_v_edge(x, y, draw());
+
+    std::vector<Conn> conns = {{0, 0, w - 1, h - 1}, {w - 1, h - 1, 0, 0},
+                               {w - 1, 0, 0, h - 1}, {0, h - 1, w - 1, 0}};
+    for (int k = 0; k < 2; ++k) {
+      const int x = uniform(0, w - 1), y = uniform(0, h - 1);
+      conns.push_back({x, y, x, y});
+      // An adjacent pair, stepping inward from the edge when needed.
+      if (uniform(0, 1) == 0) conns.push_back({x, y, x + 1 < w ? x + 1 : x - 1, y});
+      else conns.push_back({x, y, x, y + 1 < h ? y + 1 : y - 1});
+    }
+    for (int k = 0; k < 4; ++k)
+      conns.push_back({uniform(0, w - 1), uniform(0, h - 1), uniform(0, w - 1), uniform(0, h - 1)});
+
+    for (const Conn& c : conns) {
+      std::vector<int> ref_path;
+      const int ref_edges = reference_maze_route(ref, c, capacity, ref_path);
+      const int edges = search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity);
+      ASSERT_EQ(edges, ref_edges) << "trial " << trial;
+      ASSERT_EQ(search.path(), ref_path) << "trial " << trial << " " << w << "x" << h
+                                         << " capacity " << capacity;
+      ASSERT_EQ(fast.horiz(), ref.horiz) << "trial " << trial;
+      ASSERT_EQ(fast.vert(), ref.vert) << "trial " << trial;
+      EXPECT_GT(search.expansions(), expansions);  // at least the source settles
+      expansions = search.expansions();
+      ++calls;
+    }
+  }
+  EXPECT_EQ(calls, 48 * 12);
 }
 
 TEST(Sta, CombinationalDelayPositive) {
