@@ -32,21 +32,6 @@ namespace {
 
 using vpga::flow::FlowReport;
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-}
-
 void append_num(std::string& out, double v) {
   out += vpga::obs::json::format_double(v);
 }
@@ -91,11 +76,11 @@ int check_spans(const FlowReport& r, const std::string& label) {
 }
 
 void append_run(std::string& out, const FlowReport& r, const std::string& design) {
-  out += "    {\"design\":\"";
-  append_escaped(out, design);
-  out += "\",\"arch\":\"";
-  append_escaped(out, r.arch);
-  out += "\",\"flow\":\"";
+  out += "    {\"design\":";
+  vpga::obs::json::append_string(out, design);
+  out += ",\"arch\":";
+  vpga::obs::json::append_string(out, r.arch);
+  out += ",\"flow\":\"";
   out += r.flow;
   out += "\",";
 
@@ -114,9 +99,8 @@ void append_run(std::string& out, const FlowReport& r, const std::string& design
   for (const auto& [name, us] : stage_us) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    append_escaped(out, name);
-    out += "\":";
+    vpga::obs::json::append_string(out, name);
+    out += ':';
     append_num(out, static_cast<double>(us));
   }
   out += "},\"counters\":{";
@@ -125,9 +109,8 @@ void append_run(std::string& out, const FlowReport& r, const std::string& design
     if (is_memory_counter(name)) continue;
     if (!first) out += ',';
     first = false;
-    out += '"';
-    append_escaped(out, name);
-    out += "\":";
+    vpga::obs::json::append_string(out, name);
+    out += ':';
     append_num(out, static_cast<double>(value));
   }
   // Memory columns (schema v2): one object per span family that recorded
@@ -144,16 +127,14 @@ void append_run(std::string& out, const FlowReport& r, const std::string& design
   for (const auto& [span, fields] : memory) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    append_escaped(out, span);
-    out += "\":{";
+    vpga::obs::json::append_string(out, span);
+    out += ":{";
     bool ffirst = true;
     for (const auto& [field, value] : fields) {
       if (!ffirst) out += ',';
       ffirst = false;
-      out += '"';
-      append_escaped(out, field);
-      out += "\":";
+      vpga::obs::json::append_string(out, field);
+      out += ':';
       append_num(out, static_cast<double>(value));
     }
     out += '}';

@@ -255,6 +255,28 @@ bool parse(std::string_view text, Value& out, std::string* error) {
   return Parser(text).run(out, error);
 }
 
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+  out += '"';
+}
+
 std::string format_double(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[64];

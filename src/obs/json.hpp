@@ -41,6 +41,10 @@ struct Value {
 /// in `*error` when supplied) on malformed input or trailing garbage.
 bool parse(std::string_view text, Value& out, std::string* error = nullptr);
 
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+void append_string(std::string& out, std::string_view s);
+
 /// Shortest decimal form of `v` that round-trips bit-exactly through strtod:
 /// tries %.15g, %.16g, %.17g in order and keeps the first faithful one, so
 /// 0.15 serializes as "0.15" rather than "0.14999999999999999". Non-finite

@@ -19,14 +19,14 @@
 namespace vpga::obs::names {
 
 /// Trace span names (one per obs::Span call site family).
-inline constexpr std::array<std::string_view, 22> kSpanNames = {
+inline constexpr std::array<std::string_view, 23> kSpanNames = {
     "stage.verify",  "stage.map",   "stage.compact", "stage.buffer",
     "stage.place",   "stage.pack",  "stage.route",   "stage.sta",
     "map.tech_map",  "compact.pricing_round",
     "pack.lower_bound", "pack.attempt",  "pack.quadrisect", "pack.fill",
     "place.median_sweeps", "place.anneal",
     "route.decompose", "route.initial", "route.negotiate", "route.maze_repair",
-    "sta.analyze",   "verify.cec",
+    "sta.analyze",   "verify.cec",  "cec.sweep",
 };
 
 /// Counter / gauge / histogram names (obs::count, obs::gauge, obs::observe).
@@ -35,7 +35,7 @@ inline constexpr std::array<std::string_view, 22> kSpanNames = {
 /// exposes them; `flow.alloc_*` are the run-wide memtrack totals (per-span
 /// totals are the dynamic "<span>.alloc_bytes" family, exempt by
 /// construction like every concatenated name).
-inline constexpr std::array<std::string_view, 61> kMetricNames = {
+inline constexpr std::array<std::string_view, 56> kMetricNames = {
     "map.cuts_enumerated", "map.match_attempts", "map.dp_rounds", "map.nodes_emitted",
     "compact.cover_rounds",
     "pack.groups", "pack.grow_attempts", "pack.spiral_relocations", "pack.displacement_um",
@@ -48,9 +48,7 @@ inline constexpr std::array<std::string_view, 61> kMetricNames = {
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",
     "verify.via_budget.overruns",
-    "cec.points", "cec.tier_struct", "cec.tier_table", "cec.tier_exhaustive",
-    "cec.tier_bdd", "cec.tier_sat", "cec.npn_rejects", "cec.sweep_merges", "cec.unknown",
-    "cec.cache_hits",
+    "cec.points", "cec.npn_rejects", "cec.sweep_merges", "cec.unknown", "cec.cache_hits",
     "cec.tier_resolved.structural", "cec.tier_resolved.truth", "cec.tier_resolved.bitsim",
     "cec.tier_resolved.bdd", "cec.tier_resolved.sat",
     "cec.bdd_nodes", "cec.bdd_ite_calls", "cec.bdd_cache_hits", "cec.bdd_fallbacks",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "obs/json.hpp"
@@ -11,29 +10,6 @@ namespace vpga::obs {
 namespace {
 
 thread_local ObsContext* tl_context = nullptr;
-
-/// JSON string escaping (quotes, backslash, control characters).
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
 
 void append_double(std::string& out, double v) {
   out += json::format_double(v);  // shortest faithful form; non-finite -> "0"
@@ -141,7 +117,7 @@ std::string ObsReport::chrome_trace_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_json_string(out, s.name);
+    json::append_string(out, s.name);
     out += ",\"cat\":\"vpga\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":";
     out += std::to_string(s.start_us);
     out += ",\"dur\":";
@@ -168,7 +144,7 @@ std::string ObsReport::metrics_json() const {
   for (const auto& [k, v] : counters) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, k);
+    json::append_string(out, k);
     out += ':';
     out += std::to_string(v);
   }
@@ -177,7 +153,7 @@ std::string ObsReport::metrics_json() const {
   for (const auto& [k, v] : gauges) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, k);
+    json::append_string(out, k);
     out += ':';
     append_double(out, v);
   }
@@ -186,7 +162,7 @@ std::string ObsReport::metrics_json() const {
   for (const auto& [k, h] : histograms) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, k);
+    json::append_string(out, k);
     out += ":{\"count\":";
     out += std::to_string(h.count);
     out += ",\"sum\":";

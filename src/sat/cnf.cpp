@@ -109,15 +109,16 @@ Lit MiterEncoder::encode_comb(const Node& n, SideState& ss, NodeId id) {
   for (int i = 0; i < k; ++i) key.kids[i] = kid_buf_[static_cast<std::size_t>(i)].code();
   const Lit fresh(static_cast<Var>(solver_.num_vars()), false);
   const std::uint32_t code = hashcons_.find_or_insert(key, fresh.code());
-  if (code != fresh.code()) {
-    ++hashcons_hits_;
-    return Lit::from_code(code);
-  }
+  if (code != fresh.code()) return Lit::from_code(code);
 
   // New gate: materialize the variable and its Tseitin row clauses
   // (row r: fanins == r implies y == f(r)).
   const Lit y(solver_.new_var(), false);
   VPGA_ASSERT(y == fresh);
+  gate_at_.resize(solver_.num_vars(), kUnset);
+  gate_at_[y.var()] = static_cast<std::uint32_t>(gate_kids_.size());
+  gate_kids_.push_back(static_cast<std::uint32_t>(k));
+  for (int i = 0; i < k; ++i) gate_kids_.push_back(key.kids[i]);
   for (unsigned r = 0; r < (1u << k); ++r) {
     clause_buf_.clear();
     for (int i = 0; i < k; ++i) {
@@ -128,6 +129,31 @@ Lit MiterEncoder::encode_comb(const Node& n, SideState& ss, NodeId id) {
     solver_.add_clause(clause_buf_);
   }
   return y;
+}
+
+std::span<const Var> MiterEncoder::cone_vars(std::span<const Lit> roots) {
+  visit_.resize(solver_.num_vars(), 0);
+  ++visit_epoch_;
+  cone_.clear();
+  for (const Lit r : roots) {
+    if (visit_[r.var()] == visit_epoch_) continue;
+    visit_[r.var()] = visit_epoch_;
+    cone_.push_back(r.var());
+  }
+  // cone_ doubles as the breadth-first worklist: each variable is expanded
+  // once, in discovery order.
+  for (std::size_t i = 0; i < cone_.size(); ++i) {
+    const Var v = cone_[i];
+    if (v >= gate_at_.size() || gate_at_[v] == kUnset) continue;
+    const std::uint32_t at = gate_at_[v];
+    for (std::uint32_t j = 1; j <= gate_kids_[at]; ++j) {
+      const Var kid = Lit::from_code(gate_kids_[at + j]).var();
+      if (visit_[kid] == visit_epoch_) continue;
+      visit_[kid] = visit_epoch_;
+      cone_.push_back(kid);
+    }
+  }
+  return cone_;
 }
 
 }  // namespace vpga::sat

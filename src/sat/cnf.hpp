@@ -16,6 +16,10 @@
 ///
 /// Variable allocation follows construction + encode order only, so CNFs,
 /// and therefore verdicts and models, are byte-stable across runs.
+///
+/// The encoder also remembers each gate variable's fanin literals, so it can
+/// list the variables of a literal's cone: the decision set that keeps a
+/// solve() about two literals inside their cones.
 
 #include <cstdint>
 #include <span>
@@ -63,8 +67,12 @@ class MiterEncoder {
     sides_[static_cast<int>(side)].lit_of[node.index()] = lit.code();
   }
 
-  /// Gates that hit the structural-hash cache instead of being re-encoded.
-  [[nodiscard]] long long hashcons_hits() const { return hashcons_hits_; }
+  /// The variables of the cones rooted at `roots`, each once: every root's
+  /// variable and, transitively, the fanin variables of each gate variable
+  /// reached. Leaves, the constant and variables the encoder did not create
+  /// end a path. The work is proportional to the cones, not to the solver's
+  /// variable count. The span is valid until the next call.
+  std::span<const Var> cone_vars(std::span<const Lit> roots);
 
  private:
   struct SideState {
@@ -83,7 +91,15 @@ class MiterEncoder {
   std::vector<Lit> state_lits_;
   Lit true_lit_;  ///< invalid until const_lit() first runs
   common::FnKeyMap hashcons_;
-  long long hashcons_hits_ = 0;
+  /// Per solver variable: offset of its gate record [arity, fanin literal
+  /// codes...] in `gate_kids_`, or kUnset when the encoder made no gate.
+  std::vector<std::uint32_t> gate_at_;
+  std::vector<std::uint32_t> gate_kids_;
+  /// cone_vars() result and visit marks: a variable is visited when its
+  /// mark equals the current epoch.
+  std::vector<Var> cone_;
+  std::vector<std::uint32_t> visit_;
+  std::uint32_t visit_epoch_ = 0;
   // Encode-loop scratch, hoisted so the hot path never allocates.
   std::vector<netlist::NodeId> stack_;
   std::vector<Lit> kid_buf_;

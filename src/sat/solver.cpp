@@ -35,12 +35,14 @@ Var Solver::new_var() {
   polarity_.push_back(0);
   reason_.push_back(kNoClause);
   level_.push_back(0);
-  heap_pos_.push_back(-1);
+  order_.pos.push_back(-1);
+  cone_order_.pos.push_back(-1);
+  decision_.push_back(0);
   model_.push_back(0);
   seen_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
-  heap_insert(v);
+  heap_insert(order_, v);
   return v;
 }
 
@@ -218,7 +220,8 @@ void Solver::cancel_until(std::size_t level) {
     const Var v = trail_[k - 1].var();
     assigns_[v] = -1;
     reason_[v] = kNoClause;
-    if (heap_pos_[v] < 0) heap_insert(v);
+    if (order_.pos[v] < 0) heap_insert(order_, v);
+    if (decision_[v] != 0 && cone_order_.pos[v] < 0) heap_insert(cone_order_, v);
   }
   trail_.resize(bound);
   trail_lim_.resize(level);
@@ -231,68 +234,89 @@ void Solver::bump_var(Var v) {
     for (double& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;
   }
-  if (heap_pos_[v] >= 0) heap_up(static_cast<std::size_t>(heap_pos_[v]));
+  for (VarHeap* h : {&order_, &cone_order_}) {
+    if (h->pos[v] >= 0) heap_up(*h, static_cast<std::size_t>(h->pos[v]));
+  }
 }
 
 void Solver::decay_activities() { var_inc_ *= (1.0 / 0.95); }
 
-void Solver::heap_insert(Var v) {
-  heap_pos_[v] = static_cast<std::int32_t>(heap_.size());
-  heap_.push_back(v);
-  heap_up(heap_.size() - 1);
+void Solver::heap_insert(VarHeap& h, Var v) {
+  h.pos[v] = static_cast<std::int32_t>(h.heap.size());
+  h.heap.push_back(v);
+  heap_up(h, h.heap.size() - 1);
 }
 
-void Solver::heap_up(std::size_t i) {
-  const Var v = heap_[i];
+void Solver::heap_up(VarHeap& h, std::size_t i) {
+  const Var v = h.heap[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!order_less(v, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    heap_pos_[heap_[i]] = static_cast<std::int32_t>(i);
+    if (!order_less(v, h.heap[parent])) break;
+    h.heap[i] = h.heap[parent];
+    h.pos[h.heap[i]] = static_cast<std::int32_t>(i);
     i = parent;
   }
-  heap_[i] = v;
-  heap_pos_[v] = static_cast<std::int32_t>(i);
+  h.heap[i] = v;
+  h.pos[v] = static_cast<std::int32_t>(i);
 }
 
-void Solver::heap_down(std::size_t i) {
-  const Var v = heap_[i];
-  const std::size_t n = heap_.size();
+void Solver::heap_down(VarHeap& h, std::size_t i) {
+  const Var v = h.heap[i];
+  const std::size_t n = h.heap.size();
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && order_less(heap_[child + 1], heap_[child])) ++child;
-    if (!order_less(heap_[child], v)) break;
-    heap_[i] = heap_[child];
-    heap_pos_[heap_[i]] = static_cast<std::int32_t>(i);
+    if (child + 1 < n && order_less(h.heap[child + 1], h.heap[child])) ++child;
+    if (!order_less(h.heap[child], v)) break;
+    h.heap[i] = h.heap[child];
+    h.pos[h.heap[i]] = static_cast<std::int32_t>(i);
     i = child;
   }
-  heap_[i] = v;
-  heap_pos_[v] = static_cast<std::int32_t>(i);
+  h.heap[i] = v;
+  h.pos[v] = static_cast<std::int32_t>(i);
 }
 
-Var Solver::heap_pop() {
-  const Var top = heap_[0];
-  heap_pos_[top] = -1;
-  const Var last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = last;
-    heap_pos_[last] = 0;
-    heap_down(0);
+Var Solver::heap_pop(VarHeap& h) {
+  const Var top = h.heap[0];
+  h.pos[top] = -1;
+  const Var last = h.heap.back();
+  h.heap.pop_back();
+  if (!h.heap.empty()) {
+    h.heap[0] = last;
+    h.pos[last] = 0;
+    heap_down(h, 0);
   }
   return top;
 }
 
-Lit Solver::pick_branch() {
-  while (!heap_.empty()) {
-    const Var v = heap_pop();
+Lit Solver::pick_branch(VarHeap& h) {
+  while (!h.heap.empty()) {
+    const Var v = heap_pop(h);
     if (assigns_[v] < 0) return Lit(v, polarity_[v] == 0);
   }
   return Lit();
 }
 
-Result Solver::solve(std::span<const Lit> assumptions, long long conflict_budget) {
+Result Solver::solve(std::span<const Lit> assumptions, long long conflict_budget,
+                     std::span<const Var> decisions) {
+  if (decisions.empty()) return search(assumptions, conflict_budget, order_);
+  // A restricted call branches from its own heap over the decisions;
+  // cancel_until() refills it from the decision_ marks. Both are cleared
+  // before returning, so the call costs O(|decisions|) beyond the search.
+  for (const Var v : decisions) {
+    if (decision_[v] != 0) continue;
+    decision_[v] = 1;
+    heap_insert(cone_order_, v);
+  }
+  const Result res = search(assumptions, conflict_budget, cone_order_);
+  for (const Var v : decisions) decision_[v] = 0;
+  for (const Var v : cone_order_.heap) cone_order_.pos[v] = -1;
+  cone_order_.heap.clear();
+  return res;
+}
+
+Result Solver::search(std::span<const Lit> assumptions, long long conflict_budget,
+                      VarHeap& order) {
   if (!ok_) return Result::kUnsat;
   VPGA_ASSERT(decision_level() == 0);
   const long long conflict_limit =
@@ -361,9 +385,16 @@ Result Solver::solve(std::span<const Lit> assumptions, long long conflict_budget
       }
     }
     if (!next.valid()) {
-      next = pick_branch();
-      if (!next.valid()) {  // every variable assigned: model found
-        model_.assign(assigns_.begin(), assigns_.end());
+      next = pick_branch(order);
+      if (!next.valid()) {  // every decision variable assigned: model found
+        // Root-level values are permanent and read live (in_model()), so
+        // only the levels the search added are copied.
+        ++model_epoch_;
+        const std::size_t above_root = trail_lim_.empty() ? trail_.size() : trail_lim_[0];
+        for (std::size_t k = above_root; k < trail_.size(); ++k) {
+          const Lit l = trail_[k];
+          model_[l.var()] = (model_epoch_ << 1) | (l.negated() ? 0u : 1u);
+        }
         cancel_until(0);
         return Result::kSat;
       }

@@ -16,7 +16,10 @@
 /// (the CEC uses one selector literal per miter output so learned clauses
 /// transfer between outputs). A per-call conflict budget turns
 /// would-be-timeouts into an explicit Result::kUnknown instead of unbounded
-/// runtime.
+/// runtime. A call may also restrict branching to a span of decision
+/// variables (the CEC's SAT sweep passes the cones of the two literals it
+/// compares), so the search never wanders into unrelated parts of a large
+/// shared clause database.
 
 #include <cstdint>
 #include <span>
@@ -90,10 +93,29 @@ class Solver {
   /// non-negative `conflict_budget` bounds the conflicts spent in *this*
   /// call; exceeding it returns kUnknown (the solver state stays valid and
   /// later calls may retry with a larger budget).
-  Result solve(std::span<const Lit> assumptions = {}, long long conflict_budget = -1);
+  ///
+  /// A non-empty `decisions` restricts branching to those variables (still
+  /// in activity order): the call returns kSat as soon as all of them are
+  /// assigned without a conflict, leaving every other variable to unit
+  /// propagation, and does work proportional to the decisions and what they
+  /// imply rather than to num_vars(). kUnsat stays exact. kSat is exact when
+  /// every conflict-free assignment of `decisions` extends to a model of all
+  /// clauses — for a Tseitin circuit, when `decisions` is closed under gate
+  /// fanins.
+  Result solve(std::span<const Lit> assumptions = {}, long long conflict_budget = -1,
+               std::span<const Var> decisions = {});
 
-  /// Model access, valid after a solve() that returned kSat.
-  [[nodiscard]] bool model_value(Var v) const { return model_[v] == 1; }
+  /// Model access, valid after a solve() that returned kSat and until the
+  /// next add_clause(). The model is the assignment the search ended on:
+  /// every variable after an unrestricted call; after a restricted one only
+  /// the root-level facts, the decisions and their implications (in_model()
+  /// is false, and model_value() false, for the rest).
+  [[nodiscard]] bool in_model(Var v) const {
+    return (model_[v] >> 1) == model_epoch_ || assigns_[v] >= 0;
+  }
+  [[nodiscard]] bool model_value(Var v) const {
+    return (model_[v] >> 1) == model_epoch_ ? (model_[v] & 1u) != 0 : assigns_[v] == 1;
+  }
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
   /// False once the clause set is unsatisfiable independent of assumptions.
@@ -113,6 +135,12 @@ class Solver {
   }
   [[nodiscard]] std::size_t decision_level() const { return trail_lim_.size(); }
 
+  /// Variable-order max-heap keyed by (activity desc, index asc).
+  struct VarHeap {
+    std::vector<Var> heap;
+    std::vector<std::int32_t> pos;  ///< per var: heap index or -1
+  };
+
   std::uint32_t alloc_clause(std::span<const Lit> lits, bool learnt);
   void watch_clause(std::uint32_t cref);
   void enqueue(Lit l, std::uint32_t reason);
@@ -121,16 +149,16 @@ class Solver {
   void cancel_until(std::size_t level);
   void bump_var(Var v);
   void decay_activities();
-  [[nodiscard]] Lit pick_branch();
+  [[nodiscard]] Lit pick_branch(VarHeap& h);
+  Result search(std::span<const Lit> assumptions, long long conflict_budget, VarHeap& order);
 
-  // Variable-order max-heap keyed by (activity desc, index asc).
   [[nodiscard]] bool order_less(Var a, Var b) const {
     return activity_[a] > activity_[b] || (activity_[a] == activity_[b] && a < b);
   }
-  void heap_insert(Var v);
-  void heap_up(std::size_t i);
-  void heap_down(std::size_t i);
-  Var heap_pop();
+  void heap_insert(VarHeap& h, Var v);
+  void heap_up(VarHeap& h, std::size_t i);
+  void heap_down(VarHeap& h, std::size_t i);
+  Var heap_pop(VarHeap& h);
 
   bool ok_ = true;
   /// Clause arena: [size, lit codes...] records, refs are header indices.
@@ -147,10 +175,15 @@ class Solver {
 
   std::vector<double> activity_;
   double var_inc_ = 1.0;
-  std::vector<std::uint32_t> heap_;          ///< variable-order heap
-  std::vector<std::int32_t> heap_pos_;       ///< per var: heap index or -1
+  VarHeap order_;                            ///< every unassigned variable
+  VarHeap cone_order_;                       ///< a restricted call's unassigned decisions
+  std::vector<std::uint8_t> decision_;       ///< per var: in the current call's decisions
 
-  std::vector<std::int8_t> model_;           ///< assignment snapshot of the last kSat
+  /// Per var: (epoch << 1) | value of a variable the search assigned above
+  /// the root level, where epoch numbers the kSat results; entries from an
+  /// older epoch are not part of the current model.
+  std::vector<std::uint32_t> model_;
+  std::uint32_t model_epoch_ = 0;
   std::vector<std::int8_t> seen_;            ///< analyze() scratch
   std::vector<Lit> learnt_scratch_;
   std::vector<Lit> add_scratch_;

@@ -16,6 +16,7 @@
 #include "logic/npn.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/cone.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "sat/cnf.hpp"
 
@@ -346,6 +347,14 @@ class PointChecker {
     }
     if (m <= logic::TruthTable::kMaxVars) return check_by_table(idx, is_state, ga, rb, m);
     if (m <= opts_.max_exhaustive_inputs) return check_by_sweep(idx, is_state, ga, rb, m);
+    // Once the SAT engine exists, structural hashing and the sweep's merges
+    // map most remaining points onto one encoder literal: settle those
+    // before building any BDD.
+    if (solver_ && encoder_->encode(sat::MiterEncoder::Side::kGolden, ga) ==
+                       encoder_->encode(sat::MiterEncoder::Side::kRevised, rb)) {
+      ++report_.tier_struct;
+      return true;
+    }
     if (opts_.bdd_tier) {
       bool resolved = false;
       const bool scan = check_by_bdd(idx, is_state, ga, rb, m, resolved);
@@ -356,7 +365,6 @@ class PointChecker {
 
   void finish() {
     if (solver_) report_.sat_stats = solver_->stats();
-    if (encoder_) report_.hashcons_hits = encoder_->hashcons_hits();
   }
 
  private:
@@ -539,12 +547,17 @@ class PointChecker {
   }
 
   /// Tier 5: per-point miter under a selector assumption on the shared
-  /// incremental solver.
+  /// incremental solver. Branching is unrestricted here: a point's miter is
+  /// the verdict, and confining its decisions to the two cones made the
+  /// search slower, not faster.
   bool check_by_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb) {
     if (!solver_) {
       solver_ = std::make_unique<sat::Solver>();
       encoder_ = std::make_unique<sat::MiterEncoder>(golden_, revised_, *solver_, corr_.inv);
-      if (opts_.sat_sweep) sat_sweep();
+      if (opts_.sat_sweep) {
+        const obs::Span span("cec.sweep");
+        sat_sweep();
+      }
     }
     const sat::Lit la = encoder_->encode(sat::MiterEncoder::Side::kGolden, ga);
     const sat::Lit lb = encoder_->encode(sat::MiterEncoder::Side::kRevised, rb);
@@ -640,7 +653,12 @@ class PointChecker {
   /// Registers node `id` (literal `lit`) under its canonical signature, or —
   /// for the revised side — proves it equal to the registered representative
   /// and rebinds it. Registration keys carry the full 256-bit signature, so
-  /// only genuinely signature-equal nodes ever meet.
+  /// only genuinely signature-equal nodes ever meet. The proof branches only
+  /// on the variables of the two cones: the shared solver would otherwise
+  /// decide on leaves and stale high-activity variables elsewhere. A
+  /// restricted kSat is a real divergence whenever the cones are complete,
+  /// and the sweep drops SAT models anyway, so at worst it costs a merge,
+  /// never a verdict.
   void sweep_node(int side, NodeId id, sat::Lit lit) {
     const std::uint64_t* sig =
         sweep_sig_[side].data() + id.index() * static_cast<std::size_t>(kSweepWords);
@@ -667,8 +685,9 @@ class PointChecker {
     solver_->add_clause({~sel, lit, rep});
     solver_->add_clause({~sel, ~lit, ~rep});
     const sat::Lit assumption[1] = {sel};
-    const sat::Result res =
-        solver_->solve(std::span<const sat::Lit>(assumption, 1), kSweepBudget);
+    const sat::Lit roots[2] = {lit, rep};
+    const sat::Result res = solver_->solve(std::span<const sat::Lit>(assumption, 1), kSweepBudget,
+                                           encoder_->cone_vars(roots));
     solver_->add_clause({~sel});
     if (res != sat::Result::kUnsat) return;  // candidate refuted or budget-out
     solver_->add_clause({~lit, rep});
@@ -817,17 +836,26 @@ void dump_cex_json(const char* path, const Netlist& golden, const std::string& s
                    const CecCounterexample& cex) {
   std::ofstream os(path);
   if (!os) return;
-  os << "{\n  \"design\": \"" << golden.name() << "\",\n  \"stage\": \"" << stage
-     << "\",\n  \"point\": \"" << cex.point << "\",\n  \"is_state\": "
-     << (cex.is_state ? "true" : "false") << ",\n  \"inputs\": [";
+  std::string out = "{\n  \"design\": ";
+  obs::json::append_string(out, golden.name());
+  out += ",\n  \"stage\": ";
+  obs::json::append_string(out, stage);
+  out += ",\n  \"point\": ";
+  obs::json::append_string(out, cex.point);
+  out += ",\n  \"is_state\": ";
+  out += cex.is_state ? "true" : "false";
+  out += ",\n  \"inputs\": [";
   for (std::size_t i = 0; i < cex.inputs.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << static_cast<int>(cex.inputs[i]);
+    out += i == 0 ? "" : ", ";
+    out += cex.inputs[i] != 0 ? '1' : '0';
   }
-  os << "],\n  \"state\": [";
+  out += "],\n  \"state\": [";
   for (std::size_t d = 0; d < cex.state.size(); ++d) {
-    os << (d == 0 ? "" : ", ") << static_cast<int>(cex.state[d]);
+    out += d == 0 ? "" : ", ";
+    out += cex.state[d] != 0 ? '1' : '0';
   }
-  os << "]\n}\n";
+  out += "]\n}\n";
+  os << out;
 }
 
 /// Compact 0/1 string for diagnostics ("inputs=0110 state=01").
@@ -929,11 +957,6 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
   const CecReport cec = check_combinational_equivalence(golden, revised, eff);
 
   obs::count("cec.points", cec.checks);
-  obs::count("cec.tier_struct", cec.tier_struct);
-  obs::count("cec.tier_table", cec.tier_table);
-  obs::count("cec.tier_exhaustive", cec.tier_exhaustive);
-  obs::count("cec.tier_bdd", cec.tier_bdd);
-  obs::count("cec.tier_sat", cec.tier_sat);
   obs::count("cec.npn_rejects", cec.npn_rejects);
   obs::count("cec.sweep_merges", cec.sweep_merges);
   obs::count("cec.unknown", cec.unknown);

@@ -22,12 +22,21 @@
 ///      learning scales exponentially but BDDs stay linear.
 ///   5. SAT: everything else becomes a per-point miter over one incremental
 ///      CDCL solver (sat/solver.hpp) — selector assumptions retire solved
-///      points while learned clauses carry over to the next. Before the first
-///      miter, a SAT-sweeping pass simulates both netlists on shared
+///      points while learned clauses carry over to the next. When the solver
+///      is first built, a SAT-sweeping pass simulates both netlists on shared
 ///      deterministic stimulus, pairs internal nodes by signature, and proves
 ///      the candidates bottom-up, merging equal nodes across the two sides so
 ///      deep miters (multiplier outputs, wide datapaths) collapse instead of
-///      exploding.
+///      exploding. Each candidate proof branches only on the variables of
+///      the two candidates' cones; the sweep drops SAT models, so this can
+///      cost a merge but never a verdict. The per-point miters branch on
+///      every variable.
+///
+/// The ladder is sweep-aware: once the SAT engine exists, a point past the
+/// exhaustive tier is first encoded, and when structural hashing plus the
+/// sweep's merges map both cones onto one literal it settles as structural.
+/// Only the remaining points go on to BDD and then SAT. force_bdd skips this
+/// check and sends every point to the BDD tier first.
 ///
 /// Sequential netlists are first aligned by *register correspondence*:
 /// instead of assuming DFF i on one side is DFF i on the other, registers are
@@ -104,7 +113,7 @@ struct CecReport {
   /// `unknown`); meaningless when interface_ok is false.
   bool equivalent = true;
   int checks = 0;           ///< points compared
-  int tier_struct = 0;      ///< settled by structural signatures
+  int tier_struct = 0;      ///< settled structurally (signatures, or one encoder literal)
   int tier_table = 0;       ///< settled by truth-table comparison
   int tier_exhaustive = 0;  ///< settled by exhaustive bit simulation
   int tier_bdd = 0;         ///< settled by ROBDD root comparison
@@ -115,7 +124,6 @@ struct CecReport {
   std::vector<std::string> unknown_points;
   std::optional<CecCounterexample> cex;
   sat::SolverStats sat_stats;
-  long long hashcons_hits = 0;
   /// BDD tier statistics (cumulative over every point the tier attempted).
   long long bdd_nodes = 0;      ///< nodes allocated across all per-point managers
   long long bdd_ite_calls = 0;  ///< non-terminal ITE recursions

@@ -1,17 +1,23 @@
 // Tests for the exact equivalence checker (verify/cec.hpp): seeded mutations
 // that random stimulus provably misses, counterexample replay, tier routing,
-// resource limits and byte-stable determinism.
+// resource limits, byte-stable determinism and the counterexample dump.
 
 #include "verify/cec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/plb.hpp"
 #include "designs/designs.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/json.hpp"
 #include "synth/mapper.hpp"
 #include "verify/equiv.hpp"
 
@@ -337,19 +343,51 @@ TEST(Cec, VerdictAndCounterexampleAreByteStable) {
   }
 }
 
+/// Field-by-field CecReport equality: verdicts, every tier and engine
+/// statistic, and the counterexample.
+void expect_same_report(const CecReport& a, const CecReport& b) {
+  EXPECT_EQ(a.interface_ok, b.interface_ok);
+  EXPECT_EQ(a.equivalent, b.equivalent);
+  EXPECT_EQ(a.checks, b.checks);
+  EXPECT_EQ(a.tier_struct, b.tier_struct);
+  EXPECT_EQ(a.tier_table, b.tier_table);
+  EXPECT_EQ(a.tier_exhaustive, b.tier_exhaustive);
+  EXPECT_EQ(a.tier_bdd, b.tier_bdd);
+  EXPECT_EQ(a.tier_sat, b.tier_sat);
+  EXPECT_EQ(a.npn_rejects, b.npn_rejects);
+  EXPECT_EQ(a.sweep_merges, b.sweep_merges);
+  EXPECT_EQ(a.unknown, b.unknown);
+  EXPECT_EQ(a.unknown_points, b.unknown_points);
+  ASSERT_EQ(a.cex.has_value(), b.cex.has_value());
+  if (a.cex.has_value()) {
+    EXPECT_EQ(a.cex->inputs, b.cex->inputs);
+    EXPECT_EQ(a.cex->state, b.cex->state);
+    EXPECT_EQ(a.cex->point_index, b.cex->point_index);
+    EXPECT_EQ(a.cex->is_state, b.cex->is_state);
+    EXPECT_EQ(a.cex->point, b.cex->point);
+  }
+  EXPECT_EQ(a.sat_stats.conflicts, b.sat_stats.conflicts);
+  EXPECT_EQ(a.sat_stats.decisions, b.sat_stats.decisions);
+  EXPECT_EQ(a.sat_stats.propagations, b.sat_stats.propagations);
+  EXPECT_EQ(a.sat_stats.restarts, b.sat_stats.restarts);
+  EXPECT_EQ(a.sat_stats.learned_clauses, b.sat_stats.learned_clauses);
+  EXPECT_EQ(a.bdd_nodes, b.bdd_nodes);
+  EXPECT_EQ(a.bdd_ite_calls, b.bdd_ite_calls);
+  EXPECT_EQ(a.bdd_cache_hits, b.bdd_cache_hits);
+  EXPECT_EQ(a.bdd_fallbacks, b.bdd_fallbacks);
+  EXPECT_EQ(a.corr_classes, b.corr_classes);
+  EXPECT_EQ(a.corr_rounds, b.corr_rounds);
+  EXPECT_EQ(a.corr_permuted, b.corr_permuted);
+  EXPECT_EQ(a.corr_fallbacks, b.corr_fallbacks);
+  EXPECT_EQ(a.unmatched_registers, b.unmatched_registers);
+}
+
 TEST(Cec, ProofStatisticsAreByteStable) {
   const Netlist ripple = designs::make_ripple_adder(14);
   const Netlist prefix = designs::make_prefix_adder(14);
   const CecReport first = check_combinational_equivalence(ripple, prefix);
   EXPECT_TRUE(first.proven());
-  const CecReport again = check_combinational_equivalence(ripple, prefix);
-  EXPECT_EQ(again.tier_struct, first.tier_struct);
-  EXPECT_EQ(again.tier_table, first.tier_table);
-  EXPECT_EQ(again.tier_exhaustive, first.tier_exhaustive);
-  EXPECT_EQ(again.tier_sat, first.tier_sat);
-  EXPECT_EQ(again.sweep_merges, first.sweep_merges);
-  EXPECT_EQ(again.sat_stats.conflicts, first.sat_stats.conflicts);
-  EXPECT_EQ(again.sat_stats.propagations, first.sat_stats.propagations);
+  expect_same_report(check_combinational_equivalence(ripple, prefix), first);
 }
 
 TEST(Cec, WideParityConeBeyondSatBudgetProvesByBdd) {
@@ -477,6 +515,140 @@ TEST(Cec, PaperSuiteMapsProveExactly) {
                 static_cast<int>(design.netlist.outputs().size() + design.netlist.dffs().size()));
     }
   }
+}
+
+/// The post-map netlist of `design` on `arch` with one seeded mutation: an
+/// inverted output, or a gate whose function is complemented.
+Netlist mapped_mutant(const designs::BenchmarkDesign& design, const core::PlbArchitecture& arch,
+                      bool flip_gate, std::uint64_t seed) {
+  Netlist nl =
+      synth::tech_map(design.netlist, synth::cell_target(arch), synth::Objective::kDelay).netlist;
+  common::Rng rng(seed);
+  if (!flip_gate) {
+    const NodeId out = nl.outputs()[rng.next_below(nl.outputs().size())];
+    nl.set_fanin(out, 0, nl.add_not(nl.fanin(out, 0)));
+    return nl;
+  }
+  std::vector<NodeId> gates;
+  for (const NodeId id : nl.all_nodes()) {
+    if (nl.node(id).type == netlist::NodeType::kComb) gates.push_back(id);
+  }
+  auto& n = nl.node(gates[rng.next_below(gates.size())]);
+  n.func = ~n.func;
+  return nl;
+}
+
+TEST(Cec, TierRoutingsAgreeOnMappedMutants) {
+  // The default ladder (sweep-aware structural check, BDD, SAT), the ladder
+  // without BDDs, and every point forced through the BDD tier first must
+  // reach the same verdict on the same first diverging point.
+  const designs::BenchmarkDesign suite[] = {designs::make_network_switch(4, 8),
+                                            designs::make_fpu(4, 6), designs::make_alu(8)};
+  CecOptions no_bdd;
+  no_bdd.bdd_tier = false;
+  CecOptions forced;
+  forced.force_bdd = true;
+  int refuted = 0;
+  std::uint64_t seed = 1;
+  for (const auto& arch : {core::PlbArchitecture::granular(), core::PlbArchitecture::lut_based()}) {
+    for (const auto& design : suite) {
+      for (const bool flip_gate : {false, true}) {
+        const Netlist mutant = mapped_mutant(design, arch, flip_gate, seed++);
+        const std::string what = design.netlist.name() + " on " + arch.name +
+                                 (flip_gate ? ", gate flip" : ", inverted output");
+        const CecReport def = check_combinational_equivalence(design.netlist, mutant);
+        ASSERT_TRUE(def.interface_ok) << what;
+        EXPECT_EQ(def.unknown, 0) << what;
+        for (const CecOptions& opts : {no_bdd, forced}) {
+          const CecReport other = check_combinational_equivalence(design.netlist, mutant, opts);
+          EXPECT_EQ(other.equivalent, def.equivalent) << what;
+          EXPECT_EQ(other.unknown, 0) << what;
+          ASSERT_EQ(other.cex.has_value(), def.cex.has_value()) << what;
+          if (!def.cex.has_value()) continue;
+          EXPECT_EQ(other.cex->point_index, def.cex->point_index) << what;
+          EXPECT_EQ(other.cex->is_state, def.cex->is_state) << what;
+          EXPECT_TRUE(cex_witnesses_diff(design.netlist, mutant, *other.cex)) << what;
+        }
+        if (def.cex.has_value()) {
+          ++refuted;
+          EXPECT_TRUE(cex_witnesses_diff(design.netlist, mutant, *def.cex)) << what;
+        } else {
+          EXPECT_TRUE(flip_gate) << what << ": an inverted output must refute";
+        }
+      }
+    }
+  }
+  EXPECT_GE(refuted, 9);  // every inverted output, and most gate flips
+}
+
+TEST(Cec, SweptProofIsByteStableAcrossRepeatsAndThreads) {
+  // A post-map ALU proof on the LUT PLB reaches the cone-restricted SAT
+  // sweep and the sweep-aware structural check; its whole report must not
+  // depend on the run or on three other proofs running beside it.
+  const designs::BenchmarkDesign design = designs::make_alu(16);
+  const Netlist mapped = synth::tech_map(design.netlist,
+                                         synth::cell_target(core::PlbArchitecture::lut_based()),
+                                         synth::Objective::kDelay)
+                             .netlist;
+  const CecReport first = check_combinational_equivalence(design.netlist, mapped);
+  ASSERT_TRUE(first.proven());
+  EXPECT_GT(first.sweep_merges, 0);
+  EXPECT_GT(first.sat_stats.decisions, 0);
+  expect_same_report(check_combinational_equivalence(design.netlist, mapped), first);
+
+  std::vector<CecReport> concurrent(4);
+  std::vector<std::thread> threads;
+  for (CecReport& out : concurrent) {
+    threads.emplace_back(
+        [&out, &design, &mapped] { out = check_combinational_equivalence(design.netlist, mapped); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const CecReport& r : concurrent) expect_same_report(r, first);
+}
+
+TEST(Cec, CounterexampleDumpEscapesNames) {
+  // Design, stage and point names are written as JSON strings: quotes,
+  // backslashes and control characters must come back intact.
+  const std::string design_name = "and \"tree\"\\v2";
+  const std::string point_name = "y\"out\\0";
+  const std::string stage = "post\tmap\n";
+  // An 8-input AND chain; the mutant's first gate is an OR.
+  auto build = [&](bool mutate) {
+    Netlist nl(design_name);
+    std::vector<NodeId> xs;
+    for (int i = 0; i < 8; ++i) xs.push_back(nl.add_input("x" + std::to_string(i)));
+    NodeId acc = mutate ? nl.add_or(xs[0], xs[1]) : nl.add_and(xs[0], xs[1]);
+    for (std::size_t i = 2; i < xs.size(); ++i) acc = nl.add_and(acc, xs[i]);
+    nl.add_output(acc, point_name);
+    return nl;
+  };
+  const Netlist golden = build(false);
+  const Netlist mutated = build(true);
+
+  const std::string path = ::testing::TempDir() + "cec_cex_escape.json";
+  std::remove(path.c_str());
+  ASSERT_EQ(setenv("VPGA_CEC_CEX_PATH", path.c_str(), 1), 0);
+  VerifyReport report;
+  check_cec(golden, mutated, stage, report);
+  unsetenv("VPGA_CEC_CEX_PATH");
+  EXPECT_TRUE(report.has_errors());
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no counterexample written to " << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  obs::json::Value doc;
+  std::string err;
+  ASSERT_TRUE(obs::json::parse(text.str(), doc, &err)) << err << "\n" << text.str();
+  ASSERT_NE(doc.find("design"), nullptr);
+  EXPECT_EQ(doc.find("design")->string, design_name);
+  ASSERT_NE(doc.find("stage"), nullptr);
+  EXPECT_EQ(doc.find("stage")->string, stage);
+  ASSERT_NE(doc.find("point"), nullptr);
+  EXPECT_EQ(doc.find("point")->string, point_name);
+  ASSERT_NE(doc.find("inputs"), nullptr);
+  EXPECT_EQ(doc.find("inputs")->array.size(), 8u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "catalogue.hpp"
 #include "lexer.hpp"
+#include "obs/json.hpp"
 
 namespace vpga::fabriclint {
 namespace {
@@ -400,28 +401,6 @@ class Linter {
   std::vector<Finding> findings_;
 };
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 ObsRegistry parse_obs_registry(std::string_view names_hpp) {
@@ -523,11 +502,11 @@ std::string hotness_str(double h) {
 
 void append_finding_json(std::string& out, const Finding& f) {
   out += "{\"file\": ";
-  append_json_string(out, f.file);
+  obs::json::append_string(out, f.file);
   out += ", \"line\": " + std::to_string(f.line) + ", \"rule\": ";
-  append_json_string(out, f.rule);
+  obs::json::append_string(out, f.rule);
   out += ", \"hotness\": " + hotness_str(f.hotness) + ", \"message\": ";
-  append_json_string(out, f.message);
+  obs::json::append_string(out, f.message);
   out += "}";
 }
 
@@ -558,7 +537,7 @@ std::string perf_report_json(std::vector<Finding> worklist,
     return a.message < b.message;
   });
   std::string out = "{\"schema\": \"vpga.fabriclint.perf.v1\", \"profile\": ";
-  append_json_string(out, profile_path);
+  obs::json::append_string(out, profile_path);
   out += ", \"total\": " + std::to_string(worklist.size()) + ", \"findings\": [";
   bool first = true;
   for (const Finding& f : worklist) {
