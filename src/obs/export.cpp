@@ -59,11 +59,4 @@ std::string openmetrics_text(const ObsReport& report) {
   return out;
 }
 
-void register_serve_gauges(MetricsRegistry& registry) {
-  // Names live in names.hpp::kMetricNames; the daemon will overwrite the
-  // zeros with live queue/cache readings.
-  registry.set_gauge("serve.queue_depth", 0.0);
-  registry.set_gauge("serve.cache_hit_rate", 0.0);
-}
-
 }  // namespace vpga::obs

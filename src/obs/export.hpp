@@ -2,14 +2,14 @@
 /// \file export.hpp
 /// OpenMetrics text exposition for the metrics registry.
 ///
-/// The future flowd daemon (ROADMAP "flow-as-a-service") needs a scrape
-/// endpoint; emitting the standard OpenMetrics text format now means any
-/// Prometheus-compatible scraper ingests a flow run's counters, gauges and
-/// histograms for free. Name mapping: dotted obs names become underscored
-/// families under a `vpga_` prefix (`route.ripups` -> `vpga_route_ripups`),
-/// counters gain the mandatory `_total` sample suffix, histograms emit
-/// cumulative `le` buckets plus `_sum`/`_count`, and the document ends with
-/// the `# EOF` terminator the spec requires.
+/// Emitting the standard OpenMetrics text format (`vpga_flow_cli
+/// --metrics-openmetrics`) means any Prometheus-compatible scraper ingests a
+/// flow run's counters, gauges and histograms for free. Name mapping: dotted
+/// obs names become underscored families under a `vpga_` prefix
+/// (`route.ripups` -> `vpga_route_ripups`), counters gain the mandatory
+/// `_total` sample suffix, histograms emit cumulative `le` buckets plus
+/// `_sum`/`_count`, and the document ends with the `# EOF` terminator the
+/// spec requires.
 
 #include <string>
 
@@ -19,10 +19,5 @@ namespace vpga::obs {
 
 /// One report's metrics as an OpenMetrics text document.
 std::string openmetrics_text(const ObsReport& report);
-
-/// Registers the daemon-reserved gauges (`serve.queue_depth`,
-/// `serve.cache_hit_rate`) at zero so scrapes observe the metric families
-/// from the first exposition, before the daemon lands.
-void register_serve_gauges(MetricsRegistry& registry);
 
 }  // namespace vpga::obs

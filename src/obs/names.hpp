@@ -19,23 +19,21 @@
 namespace vpga::obs::names {
 
 /// Trace span names (one per obs::Span call site family).
-inline constexpr std::array<std::string_view, 23> kSpanNames = {
+inline constexpr std::array<std::string_view, 25> kSpanNames = {
     "stage.verify",  "stage.map",   "stage.compact", "stage.buffer",
     "stage.place",   "stage.pack",  "stage.route",   "stage.sta",
     "map.tech_map",  "compact.pricing_round",
     "pack.lower_bound", "pack.attempt",  "pack.quadrisect", "pack.fill",
     "place.median_sweeps", "place.anneal",
     "route.decompose", "route.initial", "route.negotiate", "route.maze_repair",
-    "sta.analyze",   "verify.cec",  "cec.sweep",
+    "sta.analyze",   "verify.cec",  "cec.sweep",   "cec.bdd",     "cec.miter",
 };
 
 /// Counter / gauge / histogram names (obs::count, obs::gauge, obs::observe).
-/// The `serve.*` gauges are reserved for the flowd daemon (ROADMAP) and
-/// registered by obs::register_serve_gauges so the OpenMetrics export always
-/// exposes them; `flow.alloc_*` are the run-wide memtrack totals (per-span
-/// totals are the dynamic "<span>.alloc_bytes" family, exempt by
-/// construction like every concatenated name).
-inline constexpr std::array<std::string_view, 56> kMetricNames = {
+/// `flow.alloc_*` are the run-wide memtrack totals (per-span totals are the
+/// dynamic "<span>.alloc_bytes" family, exempt by construction like every
+/// concatenated name).
+inline constexpr std::array<std::string_view, 54> kMetricNames = {
     "map.cuts_enumerated", "map.match_attempts", "map.dp_rounds", "map.nodes_emitted",
     "compact.cover_rounds",
     "pack.groups", "pack.grow_attempts", "pack.spiral_relocations", "pack.displacement_um",
@@ -44,7 +42,6 @@ inline constexpr std::array<std::string_view, 56> kMetricNames = {
     "place.median_sweeps", "place.sa_moves", "place.sa_accepted",
     "route.nets", "route.connections", "route.ripups", "route.maze_routes",
     "route.maze_expansions", "route.overflow_edges", "route.peak_congestion",
-    "serve.queue_depth", "serve.cache_hit_rate",
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",
     "verify.via_budget.overruns",

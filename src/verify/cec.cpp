@@ -339,12 +339,7 @@ class PointChecker {
     for (const std::uint32_t s : merged_.states) merged_rev_.states.push_back(corr_.perm[s]);
     const int m = static_cast<int>(merged_.num_leaves());
 
-    if (opts_.force_bdd) {
-      bool resolved = false;
-      const bool scan = check_by_bdd(idx, is_state, ga, rb, m, resolved);
-      if (resolved) return scan;
-      return check_by_sat(idx, is_state, ga, rb);
-    }
+    if (opts_.force_bdd) return check_by_bdd_then_sat(idx, is_state, ga, rb, m);
     if (m <= logic::TruthTable::kMaxVars) return check_by_table(idx, is_state, ga, rb, m);
     if (m <= opts_.max_exhaustive_inputs) return check_by_sweep(idx, is_state, ga, rb, m);
     // Once the SAT engine exists, structural hashing and the sweep's merges
@@ -355,12 +350,7 @@ class PointChecker {
       ++report_.tier_struct;
       return true;
     }
-    if (opts_.bdd_tier) {
-      bool resolved = false;
-      const bool scan = check_by_bdd(idx, is_state, ga, rb, m, resolved);
-      if (resolved) return scan;
-    }
-    return check_by_sat(idx, is_state, ga, rb);
+    return check_by_bdd_then_sat(idx, is_state, ga, rb, m);
   }
 
   void finish() {
@@ -368,6 +358,36 @@ class PointChecker {
   }
 
  private:
+  /// Node budget of the default ladder's first BDD attempt: the smallest power
+  /// of two that still fits a 128-input parity miter (11,998 nodes). A cone
+  /// that outgrows it goes to the SAT miter first; only a point the miter
+  /// cannot settle pays for the full budget.
+  static constexpr std::uint32_t kBddFirstBudget = 1u << 14;
+
+  /// Tiers 4 and 5 for a point past the exhaustive tier: a BDD attempt, the
+  /// SAT miter when its budget runs out, and a second BDD attempt at the
+  /// full `bdd_node_budget` only when the miter runs out of conflicts. The
+  /// default ladder's first attempt gets min(kBddFirstBudget,
+  /// bdd_node_budget) nodes; force_bdd spends the full budget up front, so
+  /// it never retries.
+  bool check_by_bdd_then_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m) {
+    const std::uint32_t first_budget =
+        opts_.force_bdd ? opts_.bdd_node_budget : std::min(kBddFirstBudget, opts_.bdd_node_budget);
+    bool resolved = false;
+    if (opts_.force_bdd || opts_.bdd_tier) {
+      const bool scan = check_by_bdd(idx, is_state, ga, rb, m, first_budget, resolved);
+      if (resolved) return scan;
+    }
+    if (const bool scan = check_by_sat(idx, is_state, ga, rb, resolved); resolved) return scan;
+    if (opts_.bdd_tier && first_budget < opts_.bdd_node_budget) {
+      const bool scan = check_by_bdd(idx, is_state, ga, rb, m, opts_.bdd_node_budget, resolved);
+      if (resolved) return scan;
+    }
+    ++report_.unknown;
+    report_.unknown_points.push_back(point_name(idx, is_state));
+    return true;
+  }
+
   /// Tier 2: collapse both cones over the merged support and compare tables,
   /// with the NPN canonical table as the <= 4-var inequivalence pre-filter.
   bool check_by_table(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m) {
@@ -429,13 +449,14 @@ class PointChecker {
   /// Tier 4: both cones become ROBDDs in one manager under a shared
   /// DFS-derived variable order, so the verdict is a root-edge compare and a
   /// refutation is one satisfying path of the XOR of the roots. Sets
-  /// `resolved` false when the node budget ran out — the point then falls
-  /// through to SAT instead of this tier growing without bound.
+  /// `resolved` false when `node_budget` ran out — the point then moves on
+  /// to the next tier instead of this one growing without bound.
   bool check_by_bdd(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m,
-                    bool& resolved) {
+                    std::uint32_t node_budget, bool& resolved) {
+    const obs::Span span("cec.bdd");
     const Netlist ca = extract_cone(golden_, ga, merged_);
     const Netlist cb = extract_cone(revised_, rb, merged_rev_);
-    bdd::BddManager mgr(opts_.bdd_node_budget);
+    bdd::BddManager mgr(node_budget);
     bdd_order(ca, cb);
     const bdd::Ref fa = cone_bdd(mgr, ca);
     const bdd::Ref fb = cone_bdd(mgr, cb);
@@ -549,8 +570,9 @@ class PointChecker {
   /// Tier 5: per-point miter under a selector assumption on the shared
   /// incremental solver. Branching is unrestricted here: a point's miter is
   /// the verdict, and confining its decisions to the two cones made the
-  /// search slower, not faster.
-  bool check_by_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb) {
+  /// search slower, not faster. Sets `resolved` false when the miter ran out
+  /// of conflicts.
+  bool check_by_sat(std::size_t idx, bool is_state, NodeId ga, NodeId rb, bool& resolved) {
     if (!solver_) {
       solver_ = std::make_unique<sat::Solver>();
       encoder_ = std::make_unique<sat::MiterEncoder>(golden_, revised_, *solver_, corr_.inv);
@@ -561,11 +583,13 @@ class PointChecker {
     }
     const sat::Lit la = encoder_->encode(sat::MiterEncoder::Side::kGolden, ga);
     const sat::Lit lb = encoder_->encode(sat::MiterEncoder::Side::kRevised, rb);
+    resolved = true;
     if (la == lb) {
       // Structural hashing inside the encoder already merged the two cones.
       ++report_.tier_struct;
       return true;
     }
+    const obs::Span span("cec.miter");
     const sat::Lit sel(solver_->new_var(), false);
     solver_->add_clause({~sel, la, lb});
     solver_->add_clause({~sel, ~la, ~lb});
@@ -578,8 +602,7 @@ class PointChecker {
       return true;
     }
     if (res == sat::Result::kUnknown) {
-      ++report_.unknown;
-      report_.unknown_points.push_back(point_name(idx, is_state));
+      resolved = false;
       solver_->add_clause({~sel});
       return true;
     }

@@ -16,8 +16,11 @@
 ///      completely with the 64-way bit simulator (2^n / 64 evaluations).
 ///   4. BDD: both cones are built as ROBDDs (bdd/bdd.hpp) in one manager
 ///      under a shared, DFS-derived variable order, so equivalence is a root
-///      edge compare. A hard node budget bounds the tier; exhausting it falls
-///      through to SAT instead of growing. This is the complete tier for
+///      edge compare. A hard node budget bounds each attempt; exhausting it
+///      moves the point on instead of growing. The first attempt gets 2^14
+///      nodes (or `bdd_node_budget`, if smaller) and falls through to SAT;
+///      only a point whose SAT miter runs out of conflicts gets a second
+///      attempt at the full `bdd_node_budget`. This is the complete tier for
 ///      XOR-dominated cones (parity chains, carry trees) where CDCL clause
 ///      learning scales exponentially but BDDs stay linear.
 ///   5. SAT: everything else becomes a per-point miter over one incremental
@@ -35,8 +38,9 @@
 /// The ladder is sweep-aware: once the SAT engine exists, a point past the
 /// exhaustive tier is first encoded, and when structural hashing plus the
 /// sweep's merges map both cones onto one literal it settles as structural.
-/// Only the remaining points go on to BDD and then SAT. force_bdd skips this
-/// check and sends every point to the BDD tier first.
+/// Only the remaining points go on to the small BDD, then SAT, then the
+/// full-budget BDD. force_bdd skips this check and sends every point to one
+/// full-budget BDD attempt first, with SAT as its only fallback.
 ///
 /// Sequential netlists are first aligned by *register correspondence*:
 /// instead of assuming DFF i on one side is DFF i on the other, registers are
@@ -59,7 +63,8 @@
 ///   cec.output-diverges     a primary output function differs (cex attached)
 ///   cec.state-diverges      a DFF next-state function differs (cex attached)
 ///   cec.state-unmatched     a register has no correspondence partner
-///   cec.resource-limit      a point exhausted the SAT conflict budget
+///   cec.resource-limit      a point exhausted the SAT conflict budget and
+///                           the full BDD node budget
 
 #include <cstdint>
 #include <optional>
@@ -75,11 +80,12 @@ namespace vpga::verify {
 struct CecOptions {
   /// Run the structural-signature tier (disable to benchmark lower tiers).
   bool structural_tier = true;
-  /// Union-support ceiling for the exhaustive bit-simulation tier; larger
-  /// cones go to SAT. 16 => at most 1024 64-wide evaluation sweeps per point.
+  /// Union-support ceiling for the exhaustive bit-simulation tier. 16 => at
+  /// most 1024 64-wide evaluation sweeps per point.
   int max_exhaustive_inputs = 16;
-  /// Per-point SAT conflict budget; exhausting it yields cec.resource-limit
-  /// (a warning) instead of an unbounded solve.
+  /// Per-point SAT conflict budget; exhausting it sends the point to the
+  /// full-budget BDD attempt, and when that runs out too the point is
+  /// cec.resource-limit (a warning) instead of an unbounded solve.
   long long sat_conflict_budget = 1 << 20;
   /// Run the SAT-sweeping pass before the first miter (disable to benchmark
   /// the raw per-point solver).
@@ -87,11 +93,14 @@ struct CecOptions {
   /// Run the BDD tier between the exhaustive sweep and SAT (disable to
   /// benchmark the raw SAT tier).
   bool bdd_tier = true;
-  /// Per-point node budget for the BDD tier; exhausting it abandons the
-  /// point's BDDs and falls through to SAT instead of growing without bound.
+  /// Node budget of the BDD attempt that a point gets after its SAT miter
+  /// ran out of conflicts, and of force_bdd's only attempt. The default
+  /// ladder's first attempt gets min(2^14, bdd_node_budget). Exhausting a
+  /// budget abandons the attempt instead of growing without bound.
   std::uint32_t bdd_node_budget = 1u << 18;
-  /// Route every point straight to the BDD tier, bypassing the structural,
-  /// truth-table and exhaustive tiers (SAT remains the exhaustion fallback).
+  /// Route every point straight to one full-budget BDD attempt, bypassing
+  /// the structural, truth-table and exhaustive tiers (SAT remains the
+  /// exhaustion fallback).
   /// The CI forced-BDD exact run sets this via VPGA_CEC_FORCE_BDD=1, which
   /// the check_cec wrapper honours.
   bool force_bdd = false;
@@ -120,15 +129,15 @@ struct CecReport {
   int tier_sat = 0;         ///< settled by the SAT miter
   int npn_rejects = 0;      ///< inequivalences pre-filtered by NPN canon
   long long sweep_merges = 0;  ///< internal nodes proven equal by SAT sweeping
-  int unknown = 0;          ///< points that exhausted the SAT budget
+  int unknown = 0;          ///< points that exhausted the SAT and BDD budgets
   std::vector<std::string> unknown_points;
   std::optional<CecCounterexample> cex;
   sat::SolverStats sat_stats;
-  /// BDD tier statistics (cumulative over every point the tier attempted).
+  /// BDD tier statistics (cumulative over every BDD attempt).
   long long bdd_nodes = 0;      ///< nodes allocated across all per-point managers
   long long bdd_ite_calls = 0;  ///< non-terminal ITE recursions
   long long bdd_cache_hits = 0; ///< computed-cache hits
-  int bdd_fallbacks = 0;        ///< budget exhaustions that fell through to SAT
+  int bdd_fallbacks = 0;        ///< attempts that exhausted their node budget
   /// Register-correspondence statistics (zero on purely combinational pairs).
   int corr_classes = 0;   ///< refinement classes at the fixpoint
   int corr_rounds = 0;    ///< refinement rounds until the fixpoint

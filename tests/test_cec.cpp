@@ -414,6 +414,22 @@ TEST(Cec, WideParityConeBeyondSatBudgetProvesByBdd) {
   EXPECT_EQ(rep.unknown, 0);
 }
 
+TEST(Cec, WiderParityConeProvesThroughTheFullBudgetRetry) {
+  // 256-input parity, forward vs shuffled fold (48,588 BDD nodes): the first
+  // BDD attempt runs out of its small budget, the SAT miter runs out of a
+  // 4096-conflict budget, and the retry at the full bdd_node_budget proves
+  // the point instead of leaving it unknown.
+  const Netlist fwd = make_parity_chain(256, Fold::kForward);
+  const Netlist shuf = make_parity_chain(256, Fold::kShuffled);
+  CecOptions opts;
+  opts.sat_conflict_budget = 4096;
+  const CecReport rep = check_combinational_equivalence(fwd, shuf, opts);
+  EXPECT_TRUE(rep.proven());
+  EXPECT_EQ(rep.tier_bdd, 1);
+  EXPECT_EQ(rep.bdd_fallbacks, 1);
+  EXPECT_EQ(rep.unknown, 0);
+}
+
 TEST(Cec, ParityChainMutationRefutedByBddWithWitness) {
   // Complement one inner XOR of the reversed fold: the diff is parity-flipped
   // on every assignment touching that link, and the BDD tier must return a
@@ -604,6 +620,23 @@ TEST(Cec, SweptProofIsByteStableAcrossRepeatsAndThreads) {
   }
   for (std::thread& t : threads) t.join();
   for (const CecReport& r : concurrent) expect_same_report(r, first);
+}
+
+TEST(Cec, MappedAluBddAttemptsStayWithinTheFirstBudget) {
+  // The post-map ALU on the LUT PLB has a cone whose BDD outgrows the first
+  // attempt's budget. Falling through builds the SAT engine, whose sweep
+  // settles the remaining points, so no attempt may build more than 2^14
+  // nodes (a full-budget first attempt spends 523,201 nodes in 17 attempts
+  // here).
+  const designs::BenchmarkDesign design = designs::make_alu(16);
+  const Netlist mapped = synth::tech_map(design.netlist,
+                                         synth::cell_target(core::PlbArchitecture::lut_based()),
+                                         synth::Objective::kDelay)
+                             .netlist;
+  const CecReport rep = check_combinational_equivalence(design.netlist, mapped);
+  ASSERT_TRUE(rep.proven());
+  EXPECT_GT(rep.bdd_fallbacks, 0);
+  EXPECT_LE(rep.bdd_nodes, static_cast<long long>(rep.tier_bdd + rep.bdd_fallbacks) << 14);
 }
 
 TEST(Cec, CounterexampleDumpEscapesNames) {

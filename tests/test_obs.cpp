@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <limits>
@@ -300,15 +301,6 @@ TEST(OpenMetrics, HistogramBucketsAreCumulative) {
   EXPECT_NE(text.find("le=\"4\"} 2"), std::string::npos);
 }
 
-TEST(OpenMetrics, RegisterServeGaugesExposesDaemonFamilies) {
-  ObsContext ctx(false, true);
-  register_serve_gauges(ctx.metrics());
-  const std::string text = openmetrics_text(ctx.report());
-  EXPECT_NE(text.find("# TYPE vpga_serve_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("vpga_serve_queue_depth 0"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE vpga_serve_cache_hit_rate gauge"), std::string::npos);
-}
-
 // --- Disabled-path overhead -------------------------------------------------
 
 TEST(Overhead, DisabledInstrumentationDoesNotAllocate) {
@@ -406,6 +398,29 @@ TEST(FlowObs, FlowAHasNoPackSpan) {
   for (const char* stage :
        {"stage.map", "stage.compact", "stage.place", "stage.route", "stage.sta"})
     EXPECT_EQ(rep.obs.span_count(stage), 1) << stage;
+}
+
+TEST(FlowObs, ExactRunNestsCecTierSpansUnderTheProof) {
+  // The 2-port switch's post-map proof settles points in the BDD tier and
+  // runs one SAT miter after a BDD attempt outgrows its first budget, so
+  // both per-point tier spans appear, each directly inside a verify.cec.
+  flow::FlowOptions opts;
+  opts.trace = true;
+  opts.verify_level = verify::VerifyLevel::kExact;
+  const auto rep = flow::run_flow(designs::make_network_switch(2, 8),
+                                  core::PlbArchitecture::granular(), 'a', opts);
+  for (const char* tier : {"cec.bdd", "cec.miter"}) {
+    ASSERT_TRUE(rep.obs.has_span(tier)) << tier;
+    for (const SpanRecord& s : rep.obs.spans) {
+      if (s.name != tier) continue;
+      const bool nested =
+          std::any_of(rep.obs.spans.begin(), rep.obs.spans.end(), [&s](const SpanRecord& p) {
+            return p.name == "verify.cec" && p.depth + 1 == s.depth &&
+                   p.start_us <= s.start_us && s.start_us + s.dur_us <= p.start_us + p.dur_us;
+          });
+      EXPECT_TRUE(nested) << tier << " at " << s.start_us << " us is not a child of verify.cec";
+    }
+  }
 }
 
 TEST(FlowObs, DisabledRunCarriesNoObservability) {
