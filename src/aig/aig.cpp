@@ -150,6 +150,7 @@ AigMapping from_netlist(const netlist::Netlist& nl) {
     VPGA_ASSERT_MSG(d.valid(), "DFF left unconnected");
     m.aig.add_output(of[d.index()]);
   }
+  m.node_lit = std::move(of);
   return m;
 }
 

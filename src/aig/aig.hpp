@@ -101,6 +101,11 @@ struct AigMapping {
   ///   j < num_pos            -> netlist output j
   ///   otherwise              -> D input of dff (j - num_pos)
   std::size_t num_pos = 0;
+  /// node_lit[id] = the literal netlist node `id` became (an output node
+  /// shares its driver's). These are the literals tech_map stamps as node
+  /// witnesses, and the golden-side claims the exact-equivalence checker
+  /// re-verifies gate by gate.
+  std::vector<Lit> node_lit;
 };
 
 /// Converts a (generic or mapped) netlist into an AIG, cutting at registers.

@@ -44,7 +44,11 @@ CompactionResult compact(const netlist::Netlist& mapped, const core::PlbArchitec
 /// Variant that builds the configuration cover from `reference` (typically
 /// the pre-mapping netlist, whose structure is cleaner to re-cover) while
 /// still accounting the area delta against `mapped`. Falls back to the
-/// re-labelled mapped netlist when no area reduction is found.
+/// re-labelled mapped netlist when no area reduction is found. Either way
+/// the result keeps node witnesses (netlist::Node::witness) in the AIG of
+/// `reference`, which is also the AIG of `mapped`'s source in the flow: the
+/// re-cover stamps them, the fallback copies them, and FA fusion and pool
+/// rebalancing only re-tag nodes.
 CompactionResult compact_from(const netlist::Netlist& reference, const netlist::Netlist& mapped,
                               const core::PlbArchitecture& arch,
                               const library::CellLibrary& lib = library::CellLibrary::standard());

@@ -1,11 +1,9 @@
 #include "flow/flow.hpp"
 
 #include <cmath>
-#include <mutex>
 #include <thread>
 
 #include "common/assert.hpp"
-#include "common/concurrency.hpp"
 #include "obs/obs.hpp"
 #include "place/placement.hpp"
 #include "route/router.hpp"
@@ -154,19 +152,6 @@ FlowReport run_flow_impl(const designs::BenchmarkDesign& design,
   return rep;
 }
 
-/// Backing store of flow::run_tally(). Concurrent run_flow calls (parallel
-/// compare) increment it from four threads, hence the lock discipline.
-struct RunTally {
-  std::mutex mu;
-  long long runs FABRIC_GUARDED_BY(mu) = 0;
-  long long parallel_compares FABRIC_GUARDED_BY(mu) = 0;
-};
-
-RunTally& run_tally_storage() {
-  static RunTally tally;
-  return tally;
-}
-
 }  // namespace
 
 FlowReport run_flow(const designs::BenchmarkDesign& design, const core::PlbArchitecture& arch,
@@ -189,18 +174,7 @@ FlowReport run_flow(const designs::BenchmarkDesign& design, const core::PlbArchi
   }
   rep.obs = ctx.report();
   obs::flight_event("flow.end");
-  {
-    RunTally& tally = run_tally_storage();
-    const std::lock_guard<std::mutex> lock(tally.mu);
-    ++tally.runs;
-  }
   return rep;
-}
-
-RunTallySnapshot run_tally() {
-  RunTally& tally = run_tally_storage();
-  const std::lock_guard<std::mutex> lock(tally.mu);
-  return {tally.runs, tally.parallel_compares};
 }
 
 DesignComparison compare_architectures(const designs::BenchmarkDesign& design,
@@ -214,11 +188,6 @@ DesignComparison compare_architectures(const designs::BenchmarkDesign& design,
     c.lut_a = run_flow(design, lut, 'a', opts);
     c.lut_b = run_flow(design, lut, 'b', opts);
     return c;
-  }
-  {
-    RunTally& tally = run_tally_storage();
-    const std::lock_guard<std::mutex> lock(tally.mu);
-    ++tally.parallel_compares;
   }
   // The four runs share only immutable inputs (design, architectures, opts);
   // each run_flow binds a fresh thread-local ObsContext, so traces and

@@ -97,15 +97,4 @@ struct DesignComparison {
 DesignComparison compare_architectures(const designs::BenchmarkDesign& design,
                                        const FlowOptions& opts = {});
 
-/// Process-lifetime flow counters. Unlike the per-run ObsContext metrics
-/// (which die with their FlowReport), these accumulate across every run in
-/// the process — including the four concurrent runs of a parallel compare —
-/// so they are mutex-guarded (FABRIC_GUARDED_BY, src/common/concurrency.hpp)
-/// and read through a locked snapshot.
-struct RunTallySnapshot {
-  long long runs = 0;               ///< completed run_flow calls
-  long long parallel_compares = 0;  ///< compare_architectures parallel paths
-};
-[[nodiscard]] RunTallySnapshot run_tally();
-
 }  // namespace vpga::flow

@@ -31,21 +31,8 @@ void BitSimulator::eval() {
       values_[id.index()] = values_[fins[0].index()];
       continue;
     }
-    // Evaluate the truth table bitwise over the fanin words: for each row r
-    // of the table, AND together fanin words in the row's polarities and OR
-    // into the result when f(r) = 1.
-    std::uint64_t out = 0;
-    const int rows = n.func.num_rows();
-    for (int r = 0; r < rows; ++r) {
-      if (!n.func.eval(static_cast<unsigned>(r))) continue;
-      std::uint64_t term = ~std::uint64_t{0};
-      for (std::size_t k = 0; k < fins.size(); ++k) {
-        const std::uint64_t v = values_[fins[k].index()];
-        term &= (r >> k) & 1 ? v : ~v;
-      }
-      out |= term;
-    }
-    values_[id.index()] = out;
+    values_[id.index()] = eval_gate(n.func, fins.size(),
+                                    [&](std::size_t k) { return values_[fins[k].index()]; });
   }
 }
 

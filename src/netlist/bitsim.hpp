@@ -8,12 +8,36 @@
 /// turning the synthesis pipeline's equivalence tests from sampling into
 /// proof for adder/mux-sized cones.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace vpga::netlist {
+
+/// One gate evaluated on 64 patterns at once: bit t of the result is `f`
+/// applied to bit t of each fanin word, where `word(k)` returns fanin k's
+/// word. For each row r with f(r) = 1, the fanin words in the row's
+/// polarities are ANDed and ORed into the result. This is the gate
+/// evaluator of BitSimulator and of the exact-equivalence checker's witness
+/// checks.
+template <class FaninWord>
+[[nodiscard]] std::uint64_t eval_gate(const logic::TruthTable& f, std::size_t arity,
+                                      FaninWord word) {
+  std::uint64_t out = 0;
+  const int rows = f.num_rows();
+  for (int r = 0; r < rows; ++r) {
+    if (!f.eval(static_cast<unsigned>(r))) continue;
+    std::uint64_t term = ~std::uint64_t{0};
+    for (std::size_t k = 0; k < arity; ++k) {
+      const std::uint64_t v = word(k);
+      term &= (r >> k) & 1 ? v : ~v;
+    }
+    out |= term;
+  }
+  return out;
+}
 
 /// Evaluates 64 input patterns at once through the combinational logic.
 /// Sequential netlists are supported: DFF outputs are part of the pattern

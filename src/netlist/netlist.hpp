@@ -18,7 +18,8 @@
 /// blocks. Structural analyses (`topo_order`, `fanout_counts`) are memoized
 /// and invalidated by the structural mutators (`add_*`, `set_fanin`,
 /// `set_dff_input`, `replace_fanins`); tag mutations through `node(id)`
-/// (cell, config_tag, macro_rep) do not touch structure and keep the caches.
+/// (cell, config_tag, macro_rep, witness) do not touch structure and keep
+/// the caches.
 
 #include <cstdint>
 #include <mutex>
@@ -51,6 +52,7 @@ enum class NodeType : std::uint8_t {
 /// and allocation-free.
 struct Node {
   static constexpr std::uint8_t kNoConfig = 0xFF;
+  static constexpr std::uint32_t kNoWitness = 0xFFFFFFFFu;
 
   NodeType type = NodeType::kComb;
   /// PLB configuration (raw core::ConfigKind; set by the compaction pass).
@@ -71,12 +73,19 @@ struct Node {
   /// representative node; the representative points at itself. Invalid for
   /// ordinary single-output nodes.
   NodeId macro_rep;
+  /// The aig::Lit, in aig::from_netlist of the netlist this one was mapped
+  /// from, that the node claims to compute (set by synth::tech_map on every
+  /// cut node; copies and re-tagging carry it). The exact-equivalence
+  /// checker verifies each claim locally before trusting it, so a wrong or
+  /// stale witness costs proof time, never a verdict (verify/cec.hpp).
+  std::uint32_t witness = kNoWitness;
 
   [[nodiscard]] int num_fanins() const { return fanin_count; }
   [[nodiscard]] bool is_mapped() const { return cell.has_value(); }
   [[nodiscard]] bool has_config() const { return config_tag != kNoConfig; }
   [[nodiscard]] bool in_macro() const { return macro_rep.valid(); }
 };
+static_assert(sizeof(Node) <= 40, "the witness must stay inside Node's padding");
 
 /// Lazy view of the dense id range [0, num_nodes) — `all_nodes()` used to
 /// materialize this as a fresh vector on every call, which the compaction
@@ -172,8 +181,8 @@ class Netlist {
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] const Node& node(NodeId id) const { return nodes_[id.index()]; }
   /// Mutable node access is for *tag* mutation (cell, config_tag, macro_rep,
-  /// func); structure (fanins) is edited through set_fanin/replace_fanins so
-  /// the analysis caches stay coherent.
+  /// witness, func); structure (fanins) is edited through
+  /// set_fanin/replace_fanins so the analysis caches stay coherent.
   [[nodiscard]] Node& node(NodeId id) { return nodes_[id.index()]; }
   [[nodiscard]] const std::vector<NodeId>& inputs() const { return inputs_; }
   [[nodiscard]] const std::vector<NodeId>& outputs() const { return outputs_; }

@@ -19,14 +19,15 @@
 namespace vpga::obs::names {
 
 /// Trace span names (one per obs::Span call site family).
-inline constexpr std::array<std::string_view, 25> kSpanNames = {
+inline constexpr std::array<std::string_view, 26> kSpanNames = {
     "stage.verify",  "stage.map",   "stage.compact", "stage.buffer",
     "stage.place",   "stage.pack",  "stage.route",   "stage.sta",
     "map.tech_map",  "compact.pricing_round",
     "pack.lower_bound", "pack.attempt",  "pack.quadrisect", "pack.fill",
     "place.median_sweeps", "place.anneal",
     "route.decompose", "route.initial", "route.negotiate", "route.maze_repair",
-    "sta.analyze",   "verify.cec",  "cec.sweep",   "cec.bdd",     "cec.miter",
+    "sta.analyze",   "verify.cec",  "cec.witness", "cec.sweep",   "cec.bdd",
+    "cec.miter",
 };
 
 /// Counter / gauge / histogram names (obs::count, obs::gauge, obs::observe).
@@ -45,7 +46,7 @@ inline constexpr std::array<std::string_view, 54> kMetricNames = {
     "sta.analyses", "sta.arrival_propagations",
     "verify.checks", "verify.findings", "verify.errors", "verify.equiv.vectors",
     "verify.via_budget.overruns",
-    "cec.points", "cec.npn_rejects", "cec.sweep_merges", "cec.unknown", "cec.cache_hits",
+    "cec.points", "cec.witness_rejects", "cec.sweep_merges", "cec.unknown", "cec.cache_hits",
     "cec.tier_resolved.structural", "cec.tier_resolved.truth", "cec.tier_resolved.bitsim",
     "cec.tier_resolved.bdd", "cec.tier_resolved.sat",
     "cec.bdd_nodes", "cec.bdd_ite_calls", "cec.bdd_cache_hits", "cec.bdd_fallbacks",

@@ -72,7 +72,11 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
                    Objective objective, int cut_limit) {
   VPGA_ASSERT_MSG(!target.options.empty(), "mapping target has no options");
   const obs::Span map_span("map.tech_map");
-  const auto m = aig::from_netlist(src);
+  auto m = aig::from_netlist(src);
+  // The cover needs only the AIG. Release the per-node literal table before
+  // the cut database fills the heap: kept alive, it fragments the heap and
+  // raises the flow's peak RSS.
+  m.node_lit = std::vector<Lit>();
   const aig::Aig& g = m.aig;
   const CutDatabase cuts(g, cut_limit);
 
@@ -233,6 +237,7 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
                                  std::span<const netlist::NodeId>(fanins.data(), c.size));
     out.node(id).cell = opt.cell;
     out.node(id).config_tag = opt.config_tag;
+    out.node(id).witness = aig::lit(n, false);
     result.stats.area_um2 += opt.area_um2;
     ++result.stats.nodes;
     emitted[n] = id;

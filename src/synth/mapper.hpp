@@ -72,7 +72,10 @@ struct MapResult {
 
 /// Maps `src` (any well-formed netlist) onto the target. The result is
 /// functionally equivalent (verified by the property tests via random
-/// simulation) and carries cell / config annotations per node.
+/// simulation) and carries cell / config annotations per node. Every cut
+/// node is stamped with its witness: the positive literal of the AIG node
+/// it covers in aig::from_netlist(src). The polarity inverters carry none;
+/// the exact-equivalence checker derives theirs from their fanin.
 MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
                    Objective objective, int cut_limit = 8);
 

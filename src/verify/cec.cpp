@@ -9,11 +9,11 @@
 #include <memory>
 #include <span>
 
+#include "aig/aig.hpp"
 #include "bdd/bdd.hpp"
 #include "common/assert.hpp"
 #include "common/fnmap.hpp"
 #include "common/rng.hpp"
-#include "logic/npn.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/cone.hpp"
 #include "obs/json.hpp"
@@ -31,13 +31,18 @@ using netlist::NodeId;
 using netlist::NodeType;
 
 /// 64-pattern word with bit t = (t >> i) & 1 — the i-th exhaustive lane.
-std::uint64_t lane_word(int i) {
+constexpr std::uint64_t lane_word(int i) {
   std::uint64_t w = 0;
   for (int t = 0; t < 64; ++t) {
     if (((t >> i) & 1) != 0) w |= std::uint64_t{1} << t;
   }
   return w;
 }
+
+/// The six lane words: one 64-pattern word enumerates every assignment of
+/// up to six variables.
+constexpr std::array<std::uint64_t, 6> kLanes = {lane_word(0), lane_word(1), lane_word(2),
+                                                 lane_word(3), lane_word(4), lane_word(5)};
 
 /// Collapses a cone extract (pure combinational, <= 6 inputs, one output)
 /// into a single truth table over its input order.
@@ -287,18 +292,96 @@ RegisterCorrespondence match_registers(const Netlist& golden, const Netlist& rev
   return corr;
 }
 
+/// Checks witness claims against one AIG: a claim says that a gate `f` over
+/// fanins computing the literals `leaves` computes the literal `claim`. Only
+/// the AIG cone between the claim and the leaves' nodes is evaluated, on
+/// 64-lane words in which leaf node j carries lane word j (gate arity bounds
+/// the leaves at 6), so the identity is checked for every joint value of
+/// the leaves. Because it holds with the leaves free, it holds for whatever
+/// functions the leaves compute: chained along the netlist, checked claims
+/// are exact equivalences, whoever stamped them.
+class ClaimChecker {
+ public:
+  /// A cone walk that passes this many AND nodes rejects the claim. A
+  /// 6-input Shannon expansion builds at most 93.
+  static constexpr std::size_t kMaxConeAnds = 256;
+
+  explicit ClaimChecker(const aig::Aig& g)
+      : g_(g), val_(g.num_nodes(), 0), mark_(g.num_nodes(), 0) {}
+
+  /// True iff `claim` names an AIG node, its cone closes on the leaves'
+  /// nodes within kMaxConeAnds AND nodes, and it equals f(leaves).
+  bool holds(const logic::TruthTable& f, std::span<const aig::Lit> leaves, aig::Lit claim) {
+    const std::uint32_t root = aig::node_of(claim);
+    if (root >= g_.num_nodes() || leaves.size() > kLanes.size()) return false;
+    ++epoch_;
+    std::uint64_t fanin[kLanes.size()] = {};
+    std::size_t next_lane = 0;
+    for (std::size_t k = 0; k < leaves.size(); ++k) {
+      const std::uint32_t n = aig::node_of(leaves[k]);
+      if (n != 0 && mark_[n] != epoch_) {
+        mark_[n] = epoch_;
+        val_[n] = kLanes[next_lane++];
+      }
+      fanin[k] = word(leaves[k]);
+    }
+    // Collect the cone: every marked node is a leaf or already collected,
+    // and node 0 (the constant) always reads 0.
+    cone_.clear();
+    stack_.clear();
+    if (root != 0 && mark_[root] != epoch_) {
+      mark_[root] = epoch_;
+      stack_.push_back(root);
+    }
+    while (!stack_.empty()) {
+      const std::uint32_t n = stack_.back();
+      stack_.pop_back();
+      const aig::Aig::Node& nd = g_.node(n);
+      if (!nd.is_and || cone_.size() == kMaxConeAnds) return false;
+      cone_.push_back(n);
+      for (const aig::Lit c : {nd.fanin0, nd.fanin1}) {
+        const std::uint32_t cn = aig::node_of(c);
+        if (cn != 0 && mark_[cn] != epoch_) {
+          mark_[cn] = epoch_;
+          stack_.push_back(cn);
+        }
+      }
+    }
+    std::sort(cone_.begin(), cone_.end());  // AIG node order is topological
+    for (const std::uint32_t n : cone_) {
+      val_[n] = word(g_.node(n).fanin0) & word(g_.node(n).fanin1);
+    }
+    return word(claim) ==
+           netlist::eval_gate(f, leaves.size(), [&fanin](std::size_t k) { return fanin[k]; });
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t word(aig::Lit l) const {
+    const std::uint64_t v = aig::node_of(l) == 0 ? 0 : val_[aig::node_of(l)];
+    return aig::is_complemented(l) ? ~v : v;
+  }
+
+  const aig::Aig& g_;
+  std::vector<std::uint64_t> val_;
+  std::vector<std::uint32_t> mark_;  ///< == epoch_: a leaf or cone node of this claim
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> cone_;
+  std::vector<std::uint32_t> stack_;
+};
+
 /// One stage boundary's worth of point checks: structural signatures, the
-/// lazily-built miter solver, and all loop scratch live here so the per-point
-/// path never allocates beyond genuine growth.
+/// checked witness literals, the lazily-built miter solver, and all loop
+/// scratch live here so the per-point path never allocates beyond genuine
+/// growth.
 class PointChecker {
  public:
   PointChecker(const Netlist& golden, const Netlist& revised,
                const RegisterCorrespondence& corr, const CecOptions& opts, CecReport& report)
       : golden_(golden), revised_(revised), corr_(corr), opts_(opts), report_(report) {
-    for (int i = 0; i < 6; ++i) lanes_[i] = lane_word(i);
     if (opts_.structural_tier) {
       side_signatures(golden_, sig_[0], {});
       side_signatures(revised_, sig_[1], corr_.inv);
+      if (!opts_.force_bdd) check_witnesses();
     }
   }
 
@@ -312,10 +395,13 @@ class PointChecker {
     const NodeId rb = is_state ? revised_.fanin(revised_.dffs()[corr_.perm[idx]], 0)
                                : revised_.fanin(revised_.outputs()[idx], 0);
 
-    if (opts_.structural_tier && !opts_.force_bdd &&
-        sig_[0][ga.index()] == sig_[1][rb.index()]) {
-      ++report_.tier_struct;
-      return true;
+    if (opts_.structural_tier && !opts_.force_bdd) {
+      const bool same_witness = !wit_[0].empty() && wit_[0][ga.index()] != kNoLit &&
+                                wit_[0][ga.index()] == wit_[1][rb.index()];
+      if (same_witness || sig_[0][ga.index()] == sig_[1][rb.index()]) {
+        ++report_.tier_struct;
+        return true;
+      }
     }
 
     const ConeSupport sup_a = cone_support(golden_, ga);
@@ -358,6 +444,72 @@ class PointChecker {
   }
 
  private:
+  static constexpr aig::Lit kNoLit = Node::kNoWitness;
+
+  /// Tier 1's witness rule. Fills wit_[side][node] with the golden-AIG
+  /// literal each node is proven to compute, or kNoLit. Boundary nodes get
+  /// theirs by position: inputs, registers (revised DFF d is golden latch
+  /// corr_.inv[d]) and constants. In topological order, every golden gate
+  /// must then equal its own aig::from_netlist literal, and every revised
+  /// node its stamped witness, over its fanins' checked literals; a 1-input
+  /// buffer or inverter without a witness takes its fanin's literal or its
+  /// complement. A failed check counts in witness_rejects and leaves the
+  /// node, and everything it feeds, to the ladder. Runs only when some
+  /// revised comb node carries a witness.
+  void check_witnesses() {
+    bool stamped = false;
+    for (const NodeId id : revised_.all_nodes()) {
+      const Node& n = revised_.node(id);
+      if (n.type == NodeType::kComb && n.witness != Node::kNoWitness) {
+        stamped = true;
+        break;
+      }
+    }
+    if (!stamped) return;
+    const obs::Span span("cec.witness");
+    const aig::AigMapping m = aig::from_netlist(golden_);
+    // Every boundary node gets its own AIG input (Aig::add_input never
+    // shares one), so distinct golden variables never share a literal.
+    VPGA_ASSERT(m.num_pis == golden_.inputs().size() &&
+                m.aig.num_inputs() == golden_.inputs().size() + golden_.dffs().size());
+    ClaimChecker claims(m.aig);
+    const Netlist* nets[2] = {&golden_, &revised_};
+    std::vector<aig::Lit> leaves;
+    leaves.reserve(logic::TruthTable::kMaxVars);
+    for (int side = 0; side < 2; ++side) {
+      const Netlist& nl = *nets[side];
+      std::vector<aig::Lit>& lit = wit_[side];
+      lit.assign(nl.num_nodes(), kNoLit);
+      for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+        lit[nl.inputs()[i].index()] = aig::lit(m.aig.inputs()[i], false);
+      }
+      for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
+        const std::size_t g = side == 0 ? d : corr_.inv[d];
+        lit[nl.dffs()[d].index()] = aig::lit(m.aig.inputs()[m.num_pis + g], false);
+      }
+      for (const NodeId id : nl.all_nodes()) {
+        const Node& n = nl.node(id);
+        if (n.type == NodeType::kConst) lit[id.index()] = n.func.eval(0) ? aig::kTrue : aig::kFalse;
+      }
+      for (const NodeId id : nl.topo_order()) {
+        const Node& n = nl.node(id);
+        if (n.type != NodeType::kComb) continue;
+        leaves.clear();
+        for (const NodeId fi : nl.fanins(id)) leaves.push_back(lit[fi.index()]);
+        if (std::find(leaves.begin(), leaves.end(), kNoLit) != leaves.end()) continue;
+        const aig::Lit claim = side == 0 ? m.node_lit[id.index()] : n.witness;
+        if (claim == kNoLit) {
+          if (n.num_fanins() == 1 && n.func.bits() == 0b10) lit[id.index()] = leaves[0];
+          if (n.num_fanins() == 1 && n.func.bits() == 0b01) lit[id.index()] = aig::negate(leaves[0]);
+        } else if (claims.holds(n.func, leaves, claim)) {
+          lit[id.index()] = claim;
+        } else {
+          ++report_.witness_rejects;
+        }
+      }
+    }
+  }
+
   /// Node budget of the default ladder's first BDD attempt: the smallest power
   /// of two that still fits a 128-input parity miter (11,998 nodes). A cone
   /// that outgrows it goes to the SAT miter first; only a point the miter
@@ -388,21 +540,13 @@ class PointChecker {
     return true;
   }
 
-  /// Tier 2: collapse both cones over the merged support and compare tables,
-  /// with the NPN canonical table as the <= 4-var inequivalence pre-filter.
+  /// Tier 2: collapse both cones over the merged support and compare tables.
   bool check_by_table(std::size_t idx, bool is_state, NodeId ga, NodeId rb, int m) {
     const Netlist ca = extract_cone(golden_, ga, merged_);
     const Netlist cb = extract_cone(revised_, rb, merged_rev_);
     const logic::TruthTable ta = cone_table(ca, m, tts_, args_);
     const logic::TruthTable tb = cone_table(cb, m, tts_, args_);
-    bool npn_reject = false;
-    if (m <= 4) {
-      const auto a4 = static_cast<std::uint16_t>(ta.extend(4).bits());
-      const auto b4 = static_cast<std::uint16_t>(tb.extend(4).bits());
-      npn_reject = logic::npn_canonical4(a4) != logic::npn_canonical4(b4);
-      if (npn_reject) ++report_.npn_rejects;
-    }
-    if (!npn_reject && ta == tb) {
+    if (ta == tb) {
       ++report_.tier_table;
       return true;
     }
@@ -422,8 +566,8 @@ class PointChecker {
     BitSimulator sa(ca);
     BitSimulator sb(cb);
     for (int i = 0; i < 6; ++i) {
-      sa.set_input(static_cast<std::size_t>(i), lanes_[i]);
-      sb.set_input(static_cast<std::size_t>(i), lanes_[i]);
+      sa.set_input(static_cast<std::size_t>(i), kLanes[static_cast<std::size_t>(i)]);
+      sb.set_input(static_cast<std::size_t>(i), kLanes[static_cast<std::size_t>(i)]);
     }
     const std::uint32_t blocks = std::uint32_t{1} << (m - 6);
     for (std::uint32_t block = 0; block < blocks; ++block) {
@@ -832,9 +976,9 @@ class PointChecker {
   const RegisterCorrespondence& corr_;
   const CecOptions& opts_;
   CecReport& report_;
-  std::uint64_t lanes_[6] = {};
   common::FnKeyMap sigmap_;
   std::vector<std::uint32_t> sig_[2];
+  std::vector<aig::Lit> wit_[2];  ///< checked witness literal per node, or kNoLit
   common::FnKeyMap sweepmap_;
   std::vector<std::uint64_t> stimulus_;
   std::vector<std::uint64_t> sweep_sig_[2];
@@ -980,7 +1124,7 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
   const CecReport cec = check_combinational_equivalence(golden, revised, eff);
 
   obs::count("cec.points", cec.checks);
-  obs::count("cec.npn_rejects", cec.npn_rejects);
+  obs::count("cec.witness_rejects", cec.witness_rejects);
   obs::count("cec.sweep_merges", cec.sweep_merges);
   obs::count("cec.unknown", cec.unknown);
   // The per-point tier-resolution family: one counter per ladder tier, so
@@ -1037,10 +1181,17 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
                    (cex.state.empty() ? std::string() : " state=" + bits_to_string(cex.state)));
   }
   if (cec.unknown > 0) {
+    // An unknown point ran out of its SAT miter's conflicts and, whenever the
+    // BDD tier runs, of the full node budget too (the retry, or force_bdd's
+    // only attempt).
+    std::string budgets =
+        "the SAT conflict budget (" + std::to_string(eff.sat_conflict_budget) + ")";
+    if (eff.bdd_tier || eff.force_bdd) {
+      budgets += " and the BDD node budget (" + std::to_string(eff.bdd_node_budget) + ")";
+    }
     report.add(Severity::kWarning, "cec.resource-limit", stage, NodeId(),
-               std::to_string(cec.unknown) + " point(s) exhausted the SAT conflict budget (" +
-                   std::to_string(eff.sat_conflict_budget) + "), first: " +
-                   cec.unknown_points.front());
+               std::to_string(cec.unknown) + " point(s) exhausted " + budgets +
+                   ", first: " + cec.unknown_points.front());
   }
 }
 

@@ -8,10 +8,21 @@
 /// cheapest first:
 ///
 ///   1. structural: shared signature hashing across both netlists; identical
-///      cones are equivalent without touching their function.
+///      cones are equivalent without touching their function. Also the
+///      witness rule: when revised nodes carry witnesses (Node::witness,
+///      stamped by synth::tech_map), the checker builds
+///      aig::from_netlist(golden) once and checks, in topological order,
+///      every golden gate against its own AIG literal and every witnessed
+///      revised node against its witness, each over its fanins' already
+///      checked literals. A check evaluates only the AIG cone between the
+///      node's literal and its fanins' literals, on 64-lane words; a cone
+///      that escapes those leaves or passes 256 AND nodes rejects the claim
+///      (`witness_rejects`). A point whose golden and revised drivers hold
+///      the same checked literal settles here. Nodes downstream of a
+///      rejected or missing claim take the ladder below, so a wrong witness
+///      costs time, never a verdict.
 ///   2. truth table: cones whose union support fits 6 variables collapse to
-///      logic::TruthTable and compare directly, with the NPN canonical
-///      tables (<= 4 vars) as an O(1) inequivalence pre-filter.
+///      logic::TruthTable and compare directly.
 ///   3. exhaustive: union support up to `max_exhaustive_inputs` is swept
 ///      completely with the 64-way bit simulator (2^n / 64 evaluations).
 ///   4. BDD: both cones are built as ROBDDs (bdd/bdd.hpp) in one manager
@@ -39,8 +50,9 @@
 /// exhaustive tier is first encoded, and when structural hashing plus the
 /// sweep's merges map both cones onto one literal it settles as structural.
 /// Only the remaining points go on to the small BDD, then SAT, then the
-/// full-budget BDD. force_bdd skips this check and sends every point to one
-/// full-budget BDD attempt first, with SAT as its only fallback.
+/// full-budget BDD. force_bdd skips this check and the witness rule, and
+/// sends every point to one full-budget BDD attempt first, with SAT as its
+/// only fallback.
 ///
 /// Sequential netlists are first aligned by *register correspondence*:
 /// instead of assuming DFF i on one side is DFF i on the other, registers are
@@ -78,7 +90,8 @@
 namespace vpga::verify {
 
 struct CecOptions {
-  /// Run the structural-signature tier (disable to benchmark lower tiers).
+  /// Run the structural tier: signatures and the witness rule (disable to
+  /// benchmark lower tiers).
   bool structural_tier = true;
   /// Union-support ceiling for the exhaustive bit-simulation tier. 16 => at
   /// most 1024 64-wide evaluation sweeps per point.
@@ -99,8 +112,8 @@ struct CecOptions {
   /// budget abandons the attempt instead of growing without bound.
   std::uint32_t bdd_node_budget = 1u << 18;
   /// Route every point straight to one full-budget BDD attempt, bypassing
-  /// the structural, truth-table and exhaustive tiers (SAT remains the
-  /// exhaustion fallback).
+  /// the structural (witness rule included), truth-table and exhaustive
+  /// tiers (SAT remains the exhaustion fallback).
   /// The CI forced-BDD exact run sets this via VPGA_CEC_FORCE_BDD=1, which
   /// the check_cec wrapper honours.
   bool force_bdd = false;
@@ -122,12 +135,12 @@ struct CecReport {
   /// `unknown`); meaningless when interface_ok is false.
   bool equivalent = true;
   int checks = 0;           ///< points compared
-  int tier_struct = 0;      ///< settled structurally (signatures, or one encoder literal)
+  int tier_struct = 0;      ///< settled structurally (signatures, checked witnesses, or one encoder literal)
   int tier_table = 0;       ///< settled by truth-table comparison
   int tier_exhaustive = 0;  ///< settled by exhaustive bit simulation
   int tier_bdd = 0;         ///< settled by ROBDD root comparison
   int tier_sat = 0;         ///< settled by the SAT miter
-  int npn_rejects = 0;      ///< inequivalences pre-filtered by NPN canon
+  int witness_rejects = 0;  ///< witness claims (and golden gates) that failed their local check
   long long sweep_merges = 0;  ///< internal nodes proven equal by SAT sweeping
   int unknown = 0;          ///< points that exhausted the SAT and BDD budgets
   std::vector<std::string> unknown_points;

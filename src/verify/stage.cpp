@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/concurrency.hpp"
 #include "core/vias.hpp"
 #include "obs/obs.hpp"
 #include "synth/mapper.hpp"
@@ -31,19 +29,6 @@ bool in_range(const Netlist& nl, NodeId id) {
 
 bool is_free_rider_cell(const Node& n) {
   return n.cell.has_value() && (*n.cell == CellKind::kInv || *n.cell == CellKind::kBuf);
-}
-
-/// Backing store of verify::via_tally(). check_post_route runs on four
-/// threads under a parallel compare, hence the lock discipline.
-struct ViaTally {
-  std::mutex mu;
-  long long checks FABRIC_GUARDED_BY(mu) = 0;
-  long long overruns FABRIC_GUARDED_BY(mu) = 0;
-};
-
-ViaTally& via_tally_storage() {
-  static ViaTally tally;
-  return tally;
 }
 
 }  // namespace
@@ -293,18 +278,6 @@ void check_post_route(const Netlist& nl, const pack::PackedDesign& packed,
                    std::to_string(budget) + " candidate sites");
   }
   obs::count("verify.via_budget.overruns", overruns);
-  {
-    ViaTally& tally = via_tally_storage();
-    const std::lock_guard<std::mutex> lock(tally.mu);
-    ++tally.checks;
-    tally.overruns += overruns;
-  }
-}
-
-ViaTallySnapshot via_tally() {
-  ViaTally& tally = via_tally_storage();
-  const std::lock_guard<std::mutex> lock(tally.mu);
-  return {tally.checks, tally.overruns};
 }
 
 }  // namespace vpga::verify

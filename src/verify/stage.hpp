@@ -67,15 +67,4 @@ void check_post_route(const netlist::Netlist& nl, const pack::PackedDesign& pack
                       const core::PlbArchitecture& arch, const std::string& stage,
                       VerifyReport& report);
 
-/// Process-lifetime via-budget counters, accumulated across every
-/// check_post_route call. The check runs concurrently under
-/// FlowOptions::parallel_compare, so the backing store is mutex-guarded
-/// (FABRIC_GUARDED_BY, src/common/concurrency.hpp) and read through a locked
-/// snapshot.
-struct ViaTallySnapshot {
-  long long checks = 0;    ///< completed check_post_route calls
-  long long overruns = 0;  ///< summed over-budget tiles
-};
-[[nodiscard]] ViaTallySnapshot via_tally();
-
 }  // namespace vpga::verify

@@ -93,7 +93,7 @@ TEST(Balance, RealDesignKeepsBehaviour) {
   auto m = from_netlist(nl);
   auto r = balance(m.aig);
   EXPECT_LE(r.depth_after, r.depth_before);
-  AigMapping balanced{std::move(r.aig), m.num_pis, m.num_latches, m.num_pos};
+  AigMapping balanced{std::move(r.aig), m.num_pis, m.num_latches, m.num_pos, {}};
   const auto back = to_netlist(balanced);
   EXPECT_TRUE(netlist::equivalent_random_sim(nl, back, 300));
 }

@@ -102,18 +102,5 @@ TEST(Flow, ScaledSuiteRunsEndToEnd) {
   }
 }
 
-TEST(Flow, RunTallyCountsEveryRunIncludingParallelCompares) {
-  const auto before = run_tally();
-  const auto d = designs::make_alu(4);
-  (void)run_flow(d, PlbArchitecture::granular(), 'a');
-  FlowOptions opts;
-  opts.parallel_compare = true;
-  (void)compare_architectures(d, opts);
-  const auto after = run_tally();
-  // One direct run plus the comparison's four (2 archs x 2 flows).
-  EXPECT_EQ(after.runs, before.runs + 5);
-  EXPECT_EQ(after.parallel_compares, before.parallel_compares + 1);
-}
-
 }  // namespace
 }  // namespace vpga::flow

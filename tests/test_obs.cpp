@@ -21,6 +21,9 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/memtrack.hpp"
+#include "synth/mapper.hpp"
+#include "verify/cec.hpp"
+#include "witness_helpers.hpp"
 
 namespace vpga::obs {
 namespace {
@@ -400,27 +403,59 @@ TEST(FlowObs, FlowAHasNoPackSpan) {
     EXPECT_EQ(rep.obs.span_count(stage), 1) << stage;
 }
 
+/// True iff span `c` lies directly inside span `p`.
+bool child_of(const SpanRecord& c, const SpanRecord& p) {
+  return p.depth + 1 == c.depth && p.start_us <= c.start_us &&
+         c.start_us + c.dur_us <= p.start_us + p.dur_us;
+}
+
 TEST(FlowObs, ExactRunNestsCecTierSpansUnderTheProof) {
-  // The 2-port switch's post-map proof settles points in the BDD tier and
-  // runs one SAT miter after a BDD attempt outgrows its first budget, so
-  // both per-point tier spans appear, each directly inside a verify.cec.
-  flow::FlowOptions opts;
-  opts.trace = true;
-  opts.verify_level = verify::VerifyLevel::kExact;
-  const auto rep = flow::run_flow(designs::make_network_switch(2, 8),
-                                  core::PlbArchitecture::granular(), 'a', opts);
+  // Without the mapper's witnesses, the 2-port switch's post-map proof
+  // settles points in the BDD tier and runs one SAT miter after a BDD
+  // attempt outgrows its first budget, so both per-point tier spans appear,
+  // each directly inside a verify.cec.
+  const auto design = designs::make_network_switch(2, 8);
+  const auto arch = core::PlbArchitecture::granular();
+  const auto mapped =
+      synth::tech_map(design.netlist, synth::cell_target(arch), synth::Objective::kDelay);
+  ObsContext ctx(/*trace=*/true, /*metrics=*/false);
+  {
+    const ScopedObs bind(&ctx);
+    verify::VerifyReport proof;
+    verify::check_cec(design.netlist, strip_witnesses(mapped.netlist), "post-map", proof);
+    EXPECT_FALSE(proof.has_errors()) << proof.summary();
+  }
+  const ObsReport direct = ctx.report();
   for (const char* tier : {"cec.bdd", "cec.miter"}) {
-    ASSERT_TRUE(rep.obs.has_span(tier)) << tier;
-    for (const SpanRecord& s : rep.obs.spans) {
+    ASSERT_TRUE(direct.has_span(tier)) << tier;
+    for (const SpanRecord& s : direct.spans) {
       if (s.name != tier) continue;
       const bool nested =
-          std::any_of(rep.obs.spans.begin(), rep.obs.spans.end(), [&s](const SpanRecord& p) {
-            return p.name == "verify.cec" && p.depth + 1 == s.depth &&
-                   p.start_us <= s.start_us && s.start_us + s.dur_us <= p.start_us + p.dur_us;
+          std::any_of(direct.spans.begin(), direct.spans.end(), [&s](const SpanRecord& p) {
+            return p.name == "verify.cec" && child_of(s, p);
           });
       EXPECT_TRUE(nested) << tier << " at " << s.start_us << " us is not a child of verify.cec";
     }
   }
+
+  // The witnessed exact flow settles every point by the witness rule: each
+  // proof checks the claims inside its own cec.witness span and never
+  // reaches the BDD or SAT tiers.
+  flow::FlowOptions opts;
+  opts.trace = true;
+  opts.verify_level = verify::VerifyLevel::kExact;
+  const auto rep = flow::run_flow(design, arch, 'a', opts);
+  ASSERT_TRUE(rep.obs.has_span("verify.cec"));
+  for (const SpanRecord& p : rep.obs.spans) {
+    if (p.name != "verify.cec") continue;
+    const bool witnessed =
+        std::any_of(rep.obs.spans.begin(), rep.obs.spans.end(), [&p](const SpanRecord& s) {
+          return s.name == "cec.witness" && child_of(s, p);
+        });
+    EXPECT_TRUE(witnessed) << "verify.cec at " << p.start_us << " us has no cec.witness child";
+  }
+  EXPECT_FALSE(rep.obs.has_span("cec.bdd"));
+  EXPECT_FALSE(rep.obs.has_span("cec.miter"));
 }
 
 TEST(FlowObs, DisabledRunCarriesNoObservability) {

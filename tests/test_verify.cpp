@@ -15,6 +15,7 @@
 #include "core/vias.hpp"
 #include "designs/designs.hpp"
 #include "flow/flow.hpp"
+#include "obs/obs.hpp"
 #include "pack/packer.hpp"
 #include "place/placement.hpp"
 #include "synth/mapper.hpp"
@@ -384,11 +385,20 @@ TEST(StageChecks, OverBudgetTileFiresViaBudget) {
   expect_fired(r, "route.via-budget");
 }
 
-TEST(StageChecks, ViaTallyCountsChecksAndOverruns) {
+TEST(StageChecks, ViaBudgetOverrunsCounterCountsOverBudgetTiles) {
+  // check_post_route adds its over-budget tiles to the run's
+  // verify.via_budget.overruns counter: one per route.via-budget finding.
   PackedStage s;
-  const auto before = via_tally();
+  obs::ObsContext ctx(/*trace=*/false, /*metrics=*/true);
+  const obs::ScopedObs bind(&ctx);
+  const auto overrun_findings = [](const VerifyReport& r) {
+    return std::count_if(r.diagnostics().begin(), r.diagnostics().end(),
+                         [](const Diagnostic& d) { return d.rule == "route.via-budget"; });
+  };
   VerifyReport ok;
   check_post_route(s.compacted, s.packed, s.arch, "post-route", ok);
+  EXPECT_EQ(overrun_findings(ok), 0);
+  EXPECT_EQ(ctx.report().counter("verify.via_budget.overruns"), 0);
   for (NodeId id : s.compacted.all_nodes()) {
     const auto& n = s.compacted.node(id);
     if (n.type == NodeType::kDff || (n.type == NodeType::kComb && n.has_config()))
@@ -399,9 +409,8 @@ TEST(StageChecks, ViaTallyCountsChecksAndOverruns) {
   tiny.component_count[static_cast<std::size_t>(core::PlbComponent::kMux)] = 1;
   VerifyReport bad;
   check_post_route(s.compacted, s.packed, tiny, "post-route", bad);
-  const auto after = via_tally();
-  EXPECT_EQ(after.checks, before.checks + 2);
-  EXPECT_GT(after.overruns, before.overruns);
+  EXPECT_GT(overrun_findings(bad), 0);
+  EXPECT_EQ(ctx.report().counter("verify.via_budget.overruns"), overrun_findings(bad));
 }
 
 TEST(StageChecks, FlowVerifierRoutesViaBudgetThroughPostRouteStage) {
@@ -573,6 +582,18 @@ TEST(Cec, ExhaustedBudgetFiresResourceLimit) {
   check_cec(designs::make_ripple_adder(16), designs::make_prefix_adder(16), "test", r, opts);
   expect_fired(r, "cec.resource-limit");
   EXPECT_EQ(r.error_count(), 0);  // undecided is a warning, not a verdict
+  // With the BDD tier on, an undecided point has run out of both budgets,
+  // and the warning names both.
+  opts.bdd_tier = true;
+  opts.bdd_node_budget = 16;
+  VerifyReport both;
+  check_cec(designs::make_ripple_adder(16), designs::make_prefix_adder(16), "test", both, opts);
+  expect_fired(both, "cec.resource-limit");
+  for (const Diagnostic& d : both.diagnostics()) {
+    if (d.rule != "cec.resource-limit") continue;
+    EXPECT_NE(d.message.find("SAT conflict budget (0)"), std::string::npos) << d.message;
+    EXPECT_NE(d.message.find("BDD node budget (16)"), std::string::npos) << d.message;
+  }
 }
 
 TEST(FlowVerifier, ExactLevelProvesMappedStages) {
