@@ -8,7 +8,9 @@
 //   flow_bench_json [--out BENCH_flow.json]
 //
 // Doubles as the observability guard: exits nonzero if any expected stage
-// span is missing from any run, or if the emitted JSON does not parse back
+// span is missing from any run, if a run does not build exactly one mapping
+// subject (one `map.subject` span, shared by the delay map and every
+// compaction pricing round), or if the emitted JSON does not parse back
 // (obs/json.hpp). VPGA_BENCH_SCALE shrinks the designs as usual.
 //
 // v2 vs v1: adds the per-run "memory" object and moves the dynamic
@@ -48,18 +50,20 @@ bool is_memory_counter(std::string_view name) {
   return false;
 }
 
-// Stage spans every flow must record exactly once (stage.pack repeats per
-// pack<->STA iteration in flow b and never appears in flow a).
-const std::vector<std::string>& required_stages() {
-  static const std::vector<std::string> stages = {
-      "stage.verify", "stage.map", "stage.compact", "stage.buffer",
-      "stage.place",  "stage.route", "stage.sta"};
-  return stages;
+// Spans every flow must record exactly once: the stages (stage.pack repeats
+// per pack<->STA iteration in flow b and never appears in flow a) and
+// map.subject, the one mapping subject that the delay map and every
+// compaction pricing round share.
+const std::vector<std::string>& required_spans() {
+  static const std::vector<std::string> spans = {
+      "stage.verify", "stage.map",   "stage.compact", "stage.buffer",
+      "stage.place",  "stage.route", "stage.sta",     "map.subject"};
+  return spans;
 }
 
 int check_spans(const FlowReport& r, const std::string& label) {
   int bad = 0;
-  for (const auto& s : required_stages()) {
+  for (const auto& s : required_spans()) {
     if (r.obs.span_count(s) != 1) {
       std::fprintf(stderr, "[flow_bench_json] FAIL %s: span %s appears %d times (want 1)\n",
                    label.c_str(), s.c_str(), r.obs.span_count(s));
@@ -216,8 +220,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[flow_bench_json] wrote %s (%zu runs)\n", out_path.c_str(),
                parsed.find("runs")->array.size());
   if (missing != 0) {
-    std::fprintf(stderr, "[flow_bench_json] FAIL: %d missing/duplicated stage spans\n",
-                 missing);
+    std::fprintf(stderr, "[flow_bench_json] FAIL: %d missing/duplicated spans\n", missing);
     return 1;
   }
   return 0;

@@ -7,8 +7,8 @@
 /// followed by the latch outputs; combinational outputs are the primary
 /// outputs followed by the latch next-state functions. Structural hashing,
 /// constant folding and trivial-node rules are applied on construction, which
-/// is where most of the "logic optimization" of the paper's Design Compiler
-/// stage happens in this reproduction (the rest is the balance pass).
+/// is where the "logic optimization" of the paper's Design Compiler stage
+/// happens in this reproduction.
 
 #include <cstdint>
 #include <span>

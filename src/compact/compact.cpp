@@ -192,9 +192,7 @@ void rebalance_pools(netlist::Netlist& nl, const core::PlbArchitecture& arch,
       bucket.pop_back();
       auto& n = nl.node(id);
       if (pool_of(n) != static_cast<int>(hi)) continue;  // stale entry
-      const auto mask = (std::uint64_t{1} << (1 << n.func.num_vars())) - 1;
       const auto tt3 = static_cast<std::uint8_t>(n.func.extend(3).bits() & 0xFF);
-      (void)mask;
       if (!target_cov.test(tt3)) continue;
       n.config_tag = static_cast<std::uint8_t>(pools[lo].config);
       members[lo].push_back(id);
@@ -226,6 +224,12 @@ CompactionResult compact(const netlist::Netlist& mapped, const core::PlbArchitec
 CompactionResult compact_from(const netlist::Netlist& reference, const netlist::Netlist& mapped,
                               const core::PlbArchitecture& arch,
                               const library::CellLibrary& lib) {
+  return compact_from(synth::Subject(reference), mapped, arch, lib);
+}
+
+CompactionResult compact_from(const synth::Subject& subject, const netlist::Netlist& mapped,
+                              const core::PlbArchitecture& arch,
+                              const library::CellLibrary& lib) {
   CompactionResult result;
   result.report.area_before_um2 = gate_area(mapped, lib);
   for (netlist::NodeId id : mapped.all_nodes())
@@ -240,7 +244,7 @@ CompactionResult compact_from(const netlist::Netlist& reference, const netlist::
   // the "better utilizing the given PLB architecture" of Section 3.1.
   const auto pools = pricing_pools(arch, lib);
   std::vector<double> multiplier(pools.size(), 1.0);
-  synth::MapResult r;
+  synth::Cover best_cover;
   double best_tiles = 1e18;
   constexpr int kPricingRounds = 3;
   // The target's structure (options, coverage sets, arcs) is round-invariant;
@@ -276,18 +280,22 @@ CompactionResult compact_from(const netlist::Netlist& reference, const netlist::
       const auto& spec = core::config_spec(static_cast<core::ConfigKind>(opt.config_tag), lib);
       opt.area_um2 = scale * priced(spec, pools, multiplier);
     }
-    auto cover = synth::tech_map(reference, target, synth::Objective::kArea);
+    // Only the cover is computed here; the winning round is emitted once,
+    // after the loop.
+    synth::Cover round_cover = synth::cover(subject, target, synth::Objective::kArea);
     // Tiles needed per pool (the quantity flow b actually pays for). An
     // FA-half contributes half the full adder's footprint. Needs that accept
     // several pools are water-filled onto the least loaded one, matching what
-    // the packer's fungible slot assignment achieves.
+    // the packer's fungible slot assignment achieves. The covered nodes are
+    // read in ascending AIG node order, the order emit() lists them in.
+    const std::vector<char>& needed = round_cover.needed;
     pool_demand.assign(pools.size(), 0.0);
     flexible.clear();
-    flexible.reserve(cover.netlist.num_nodes());
-    for (netlist::NodeId id : cover.netlist.all_nodes()) {
-      const auto& n = cover.netlist.node(id);
-      if (n.type != netlist::NodeType::kComb || !n.has_config()) continue;
-      const auto tag = static_cast<core::ConfigKind>(n.config_tag);
+    flexible.reserve(static_cast<std::size_t>(std::count(needed.begin(), needed.end(), 1)));
+    for (std::size_t n = 0; n < needed.size(); ++n) {
+      if (!needed[n]) continue;
+      const auto& opt = target.options[static_cast<std::size_t>(round_cover.choice[n].option)];
+      const auto tag = static_cast<core::ConfigKind>(opt.config_tag);
       const double share = tag == core::ConfigKind::kFullAdder ? 0.5 : 1.0;
       const auto& spec = core::config_spec(tag, lib);
       for (auto need : spec.needs) {
@@ -319,7 +327,7 @@ CompactionResult compact_from(const netlist::Netlist& reference, const netlist::
     for (double t : pool_demand) tiles = std::max(tiles, t);
     if (tiles < best_tiles) {
       best_tiles = tiles;
-      r = std::move(cover);
+      best_cover = std::move(round_cover);
     }
     if (round + 1 == kPricingRounds) break;
     // Reprice (damped): scale each pool by its share of the binding
@@ -329,6 +337,11 @@ CompactionResult compact_from(const netlist::Netlist& reference, const netlist::
       multiplier[i] = std::clamp(multiplier[i] * std::sqrt(0.5 + ratio), 0.5, 4.0);
     }
   }
+  // The options now carry the last round's prices, so r.stats.area_um2 is in
+  // those units; only its depth is read below. The cover is released once
+  // emitted.
+  synth::MapResult r = synth::emit(subject, best_cover, target);
+  best_cover = synth::Cover();
 
   // Like the paper's compaction, changes are committed only when they reduce
   // gate area; otherwise the mapped structure is kept and each cell is simply

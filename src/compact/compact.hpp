@@ -48,8 +48,19 @@ CompactionResult compact(const netlist::Netlist& mapped, const core::PlbArchitec
 /// the result keeps node witnesses (netlist::Node::witness) in the AIG of
 /// `reference`, which is also the AIG of `mapped`'s source in the flow: the
 /// re-cover stamps them, the fallback copies them, and FA fusion and pool
-/// rebalancing only re-tag nodes.
+/// rebalancing only re-tag nodes. Builds a subject of `reference` for this
+/// one call.
 CompactionResult compact_from(const netlist::Netlist& reference, const netlist::Netlist& mapped,
+                              const core::PlbArchitecture& arch,
+                              const library::CellLibrary& lib = library::CellLibrary::standard());
+
+/// compact_from on a subject already built from the reference netlist, as
+/// the flow does: the delay map and the three pricing rounds then share one
+/// AIG and one cut database. Each pricing round only re-runs the cover
+/// (synth::cover); the round that needs the fewest tiles is the only one
+/// emitted. The subject is read, never modified. The result is identical to
+/// the netlist overload's on the same reference.
+CompactionResult compact_from(const synth::Subject& subject, const netlist::Netlist& mapped,
                               const core::PlbArchitecture& arch,
                               const library::CellLibrary& lib = library::CellLibrary::standard());
 

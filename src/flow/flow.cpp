@@ -1,6 +1,7 @@
 #include "flow/flow.hpp"
 
 #include <cmath>
+#include <optional>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -40,22 +41,27 @@ FlowReport run_flow_impl(const designs::BenchmarkDesign& design,
   }
 
   // 1. Synthesis + technology mapping to the restricted component library
-  //    (Design Compiler stage), delay-oriented.
+  //    (Design Compiler stage), delay-oriented. The mapping subject (the
+  //    design's AIG and priority cuts) is built once here and shared with
+  //    compaction's re-cover.
+  std::optional<synth::Subject> subject;
   synth::MapResult mapped;
   {
     const obs::Span span("stage.map");
-    mapped = synth::tech_map(design.netlist, synth::cell_target(arch),
-                             synth::Objective::kDelay);
+    subject.emplace(design.netlist);
+    mapped = synth::tech_map(*subject, synth::cell_target(arch), synth::Objective::kDelay);
     verify::enforce(verifier.check(verify::Stage::kPostMap, mapped.netlist, &golden));
   }
 
   // 2. Regularity-driven logic compaction into PLB configurations (the
   //    re-cover runs on the pre-mapping structure; area is accounted against
-  //    the mapped netlist, as the paper's flow does).
+  //    the mapped netlist, as the paper's flow does). The subject is dropped
+  //    once compaction returns, so the physical stages do not carry it.
   compact::CompactionResult compacted;
   {
     const obs::Span span("stage.compact");
-    compacted = compact::compact_from(design.netlist, mapped.netlist, arch);
+    compacted = compact::compact_from(*subject, mapped.netlist, arch);
+    subject.reset();
     rep.compaction = compacted.report;
     verify::enforce(verifier.check(verify::Stage::kPostCompact, compacted.netlist, &golden));
   }

@@ -10,21 +10,22 @@ namespace {
 
 /// Remaps `tt` (over cut `from`) onto the leaf space of the merged cut `to`.
 std::uint8_t remap(std::uint8_t tt, const Cut& from, const Cut& to) {
+  // Position of each from-leaf within to.leaves. Both lists are sorted and
+  // `to` contains every leaf of `from`, so one forward scan finds them all.
+  std::array<unsigned, 3> pos{};
+  int j = 0;
+  for (int i = 0; i < from.size; ++i) {
+    while (j < to.size &&
+           to.leaves[static_cast<std::size_t>(j)] != from.leaves[static_cast<std::size_t>(i)])
+      ++j;
+    VPGA_ASSERT(j < to.size);
+    pos[static_cast<std::size_t>(i)] = static_cast<unsigned>(j++);
+  }
   std::uint8_t out = 0;
   for (unsigned row = 0; row < 8; ++row) {
     unsigned src = 0;
-    for (int i = 0; i < from.size; ++i) {
-      // Position of from.leaves[i] within to.leaves.
-      int pos = -1;
-      for (int j = 0; j < to.size; ++j)
-        if (to.leaves[static_cast<std::size_t>(j)] ==
-            from.leaves[static_cast<std::size_t>(i)]) {
-          pos = j;
-          break;
-        }
-      VPGA_ASSERT(pos >= 0);
-      if (row & (1u << pos)) src |= 1u << i;
-    }
+    for (int i = 0; i < from.size; ++i)
+      if (row & (1u << pos[static_cast<std::size_t>(i)])) src |= 1u << i;
     if (tt & (1u << src)) out |= static_cast<std::uint8_t>(1u << row);
   }
   return out;

@@ -46,6 +46,8 @@ class CutDatabase {
   /// (smallest-leaf-count first — a good priority for exact matching). Every
   /// node also keeps its trivial cut implicitly (leaf use).
   CutDatabase(const aig::Aig& g, int cut_limit = 8);
+  /// An empty database (of a graph with no nodes), to assign a built one to.
+  CutDatabase() = default;
 
   [[nodiscard]] std::span<const Cut> cuts(std::uint32_t node) const {
     return {pool_.data() + offsets_[node], offsets_[node + 1] - offsets_[node]};

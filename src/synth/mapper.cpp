@@ -68,17 +68,20 @@ MapTarget config_target(const core::PlbArchitecture& arch, const library::CellLi
   return t;
 }
 
-MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
-                   Objective objective, int cut_limit) {
-  VPGA_ASSERT_MSG(!target.options.empty(), "mapping target has no options");
-  const obs::Span map_span("map.tech_map");
-  auto m = aig::from_netlist(src);
+Subject::Subject(const netlist::Netlist& src) : src_(&src) {
+  const obs::Span span("map.subject");
+  mapping_ = aig::from_netlist(src);
   // The cover needs only the AIG. Release the per-node literal table before
   // the cut database fills the heap: kept alive, it fragments the heap and
   // raises the flow's peak RSS.
-  m.node_lit = std::vector<Lit>();
-  const aig::Aig& g = m.aig;
-  const CutDatabase cuts(g, cut_limit);
+  mapping_.node_lit = std::vector<Lit>();
+  cuts_ = CutDatabase(mapping_.aig);
+}
+
+Cover cover(const Subject& subject, const MapTarget& target, Objective objective) {
+  VPGA_ASSERT_MSG(!target.options.empty(), "mapping target has no options");
+  const aig::Aig& g = subject.mapping().aig;
+  const CutDatabase& cuts = subject.cuts();
 
   // NPN match index: each cut's matching-option set is one table load,
   // computed once here instead of per (round, cut, option) coverage probes
@@ -94,6 +97,7 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
       cut_masks[flat + ci] = index.options_for(node_cuts[ci].tt);
     }
   }
+  obs::count("map.match_attempts", match_attempts);
 
   // Fanout estimates for area flow, refined from the chosen cover each round
   // (structural AIG fanouts systematically overestimate sharing, which makes
@@ -106,14 +110,12 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
     }
   for (Lit o : g.outputs()) ++fanout[aig::node_of(o)];
 
-  struct Choice {
-    int cut = -1;
-    int option = -1;
-    double arrival = 0.0;
-    double area_flow = 0.0;
-  };
-  std::vector<Choice> best(g.num_nodes());
-  std::vector<char> needed(g.num_nodes(), 0);
+  using Choice = Cover::Choice;
+  Cover result;
+  std::vector<Choice>& best = result.choice;
+  std::vector<char>& needed = result.needed;
+  best.resize(g.num_nodes());
+  needed.assign(g.num_nodes(), 0);
 
   // Dynamic program over AND nodes (node indices are topological).
   auto run_dp = [&] {
@@ -203,8 +205,17 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
     }
     for (Lit o : g.outputs()) ++fanout[aig::node_of(o)];
   }
+  return result;
+}
 
-  // Emit the mapped netlist.
+MapResult emit(const Subject& subject, const Cover& cover, const MapTarget& target) {
+  const aig::AigMapping& m = subject.mapping();
+  const aig::Aig& g = m.aig;
+  const CutDatabase& cuts = subject.cuts();
+  const netlist::Netlist& src = subject.source();
+  const std::vector<Cover::Choice>& best = cover.choice;
+  VPGA_ASSERT(best.size() == g.num_nodes() && cover.needed.size() == g.num_nodes());
+
   MapResult result;
   netlist::Netlist& out = result.netlist;
   out = netlist::Netlist(src.name());
@@ -223,7 +234,7 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
   }
 
   auto emit_node = [&](std::uint32_t n) {
-    const Choice& ch = best[n];
+    const Cover::Choice& ch = best[n];
     const Cut& c = cuts.cuts(n)[static_cast<std::size_t>(ch.cut)];
     const MatchOption& opt = target.options[static_cast<std::size_t>(ch.option)];
     std::array<netlist::NodeId, 3> fanins;
@@ -243,7 +254,7 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
     emitted[n] = id;
   };
   for (std::uint32_t n = 1; n < g.num_nodes(); ++n)
-    if (needed[n]) emit_node(n);
+    if (cover.needed[n]) emit_node(n);
 
   // Polarity repair and boundary wiring.
   netlist::NodeId const0, const1;
@@ -294,9 +305,17 @@ MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
     }
     result.stats.depth = depth;
   }
-  obs::count("map.match_attempts", match_attempts);
   obs::count("map.nodes_emitted", result.stats.nodes);
   return result;
+}
+
+MapResult tech_map(const Subject& subject, const MapTarget& target, Objective objective) {
+  const obs::Span map_span("map.tech_map");
+  return emit(subject, cover(subject, target, objective), target);
+}
+
+MapResult tech_map(const netlist::Netlist& src, const MapTarget& target, Objective objective) {
+  return tech_map(Subject(src), target, objective);
 }
 
 }  // namespace vpga::synth

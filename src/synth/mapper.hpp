@@ -17,9 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "aig/aig.hpp"
 #include "core/plb.hpp"
 #include "library/cells.hpp"
 #include "netlist/netlist.hpp"
+#include "synth/cuts.hpp"
 
 namespace vpga::synth {
 
@@ -70,13 +72,71 @@ struct MapResult {
   MapStats stats;
 };
 
-/// Maps `src` (any well-formed netlist) onto the target. The result is
-/// functionally equivalent (verified by the property tests via random
-/// simulation) and carries cell / config annotations per node. Every cut
-/// node is stamped with its witness: the positive literal of the AIG node
-/// it covers in aig::from_netlist(src). The polarity inverters carry none;
-/// the exact-equivalence checker derives theirs from their fanin.
-MapResult tech_map(const netlist::Netlist& src, const MapTarget& target,
-                   Objective objective, int cut_limit = 8);
+/// The subject graph of mapping: `src` as an AIG (aig::from_netlist, cut at
+/// registers) and the AIG's priority cuts. Building it is most of the cost of
+/// a tech_map call, and each construction records one `map.subject` span. A
+/// flow builds one and every cover of the same netlist reads it: the delay
+/// map and the three compaction pricing rounds. It is not modified after
+/// construction, so covers may share it, also across threads. It refers to
+/// `src`, whose port and register names the emitted netlists take, so `src`
+/// must outlive it.
+class Subject {
+ public:
+  explicit Subject(const netlist::Netlist& src);
+  /// A subject of a temporary would outlive its source.
+  explicit Subject(netlist::Netlist&& src) = delete;
+
+  [[nodiscard]] const netlist::Netlist& source() const { return *src_; }
+  /// The AIG and its boundary correspondence. `node_lit` is empty: the cover
+  /// needs only the AIG, so the table is released before the cuts are built.
+  [[nodiscard]] const aig::AigMapping& mapping() const { return mapping_; }
+  [[nodiscard]] const CutDatabase& cuts() const { return cuts_; }
+
+ private:
+  const netlist::Netlist* src_;
+  aig::AigMapping mapping_;
+  CutDatabase cuts_;
+};
+
+/// One cover of a subject, not yet emitted as a netlist.
+struct Cover {
+  struct Choice {
+    int cut = -1;     ///< index into the subject's cuts(node)
+    int option = -1;  ///< index into MapTarget::options
+    double arrival = 0.0;    ///< DP arrival estimate at the node (ps)
+    double area_flow = 0.0;  ///< DP area flow under the target's option areas
+  };
+  /// Per AIG node; set on every AND node.
+  std::vector<Choice> choice;
+  /// Per AIG node: 1 iff the cover implements it, that is, it is an AND node
+  /// reachable from an output through the chosen cuts. emit() emits exactly
+  /// these nodes, in ascending AIG node order.
+  std::vector<char> needed;
+};
+
+/// Covers the subject with the target's options: matches every cut once,
+/// then runs the (arrival, area-flow) DP for three rounds, re-deriving the
+/// fanout estimates from each round's cover, and extracts the final cover.
+/// It emits nothing, so a caller comparing covers (the compaction pricing
+/// rounds) emits only the one it keeps.
+Cover cover(const Subject& subject, const MapTarget& target, Objective objective);
+
+/// Builds the mapped netlist of a cover made by cover() from the same
+/// subject and target: one node per needed AIG node, carrying its option's
+/// cell or config tag and its witness (the node's positive AIG literal), then
+/// the polarity inverters and the boundary wiring. The stats' area sums the
+/// target's option areas as they are now.
+MapResult emit(const Subject& subject, const Cover& cover, const MapTarget& target);
+
+/// Maps the subject's netlist onto the target: emit(cover(...)). The result
+/// is functionally equivalent to the source (verified by the property tests
+/// via random simulation) and carries cell / config annotations per node.
+/// Every cut node is stamped with its witness: the positive literal of the
+/// AIG node it covers in aig::from_netlist(source). The polarity inverters
+/// carry none; the exact-equivalence checker derives theirs from their fanin.
+MapResult tech_map(const Subject& subject, const MapTarget& target, Objective objective);
+
+/// tech_map on a subject built from `src` for this one call.
+MapResult tech_map(const netlist::Netlist& src, const MapTarget& target, Objective objective);
 
 }  // namespace vpga::synth

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "designs/designs.hpp"
 #include "netlist/simulate.hpp"
 
@@ -116,6 +118,47 @@ TEST(Compact, DepthReported) {
   const auto c = run(src, PlbArchitecture::granular());
   EXPECT_GT(c.report.depth_after, 0);
   EXPECT_LE(c.report.depth_after, 64);
+}
+
+/// Asserts that two compactions agree node by node and in every report field.
+void expect_same_compaction(const CompactionResult& a, const CompactionResult& b) {
+  ASSERT_EQ(a.netlist.num_nodes(), b.netlist.num_nodes());
+  for (netlist::NodeId id : a.netlist.all_nodes()) {
+    const auto& x = a.netlist.node(id);
+    const auto& y = b.netlist.node(id);
+    EXPECT_EQ(x.type, y.type) << id.index();
+    EXPECT_EQ(x.func, y.func) << id.index();
+    EXPECT_EQ(x.cell, y.cell) << id.index();
+    EXPECT_EQ(x.config_tag, y.config_tag) << id.index();
+    EXPECT_EQ(x.macro_rep, y.macro_rep) << id.index();
+    EXPECT_EQ(x.witness, y.witness) << id.index();
+    const auto fx = a.netlist.fanins(id);
+    const auto fy = b.netlist.fanins(id);
+    EXPECT_TRUE(std::equal(fx.begin(), fx.end(), fy.begin(), fy.end())) << id.index();
+  }
+  EXPECT_EQ(a.report.area_before_um2, b.report.area_before_um2);
+  EXPECT_EQ(a.report.area_after_um2, b.report.area_after_um2);
+  EXPECT_EQ(a.report.nodes_before, b.report.nodes_before);
+  EXPECT_EQ(a.report.nodes_after, b.report.nodes_after);
+  EXPECT_EQ(a.report.depth_after, b.report.depth_after);
+  EXPECT_EQ(a.report.config_histogram, b.report.config_histogram);
+}
+
+TEST(Compact, SubjectOverloadMatchesNetlistOverload) {
+  // The flow builds one subject, maps it, then compacts from it; the netlist
+  // overload builds a fresh subject per call. Agreement after the shared
+  // subject went through tech_map shows that no cover mutates it.
+  for (const auto& d : {designs::make_alu(8), designs::make_firewire(4, 8)}) {
+    for (const auto& arch : {PlbArchitecture::granular(), PlbArchitecture::lut_based()}) {
+      SCOPED_TRACE(d.netlist.name() + " / " + arch.name);
+      const synth::Subject subject(d.netlist);
+      const auto mapped = tech_map(subject, cell_target(arch), Objective::kDelay);
+      const auto shared = compact_from(subject, mapped.netlist, arch);
+      const auto fresh = compact_from(d.netlist, mapped.netlist, arch);
+      expect_same_compaction(shared, fresh);
+      expect_same_compaction(compact_from(subject, mapped.netlist, arch), fresh);
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <new>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -456,6 +457,35 @@ TEST(FlowObs, ExactRunNestsCecTierSpansUnderTheProof) {
   }
   EXPECT_FALSE(rep.obs.has_span("cec.bdd"));
   EXPECT_FALSE(rep.obs.has_span("cec.miter"));
+}
+
+TEST(FlowObs, OneSubjectServesTheMapAndEveryPricingRound) {
+  // The delay map and compaction's three pricing rounds cover one subject:
+  // it is built once, inside stage.map, and its cuts are enumerated once and
+  // matched by each of the four covers.
+  flow::FlowOptions opts;
+  opts.trace = true;
+  opts.metrics = true;
+  const auto design = small_design();
+  const auto rep = flow::run_flow(design, core::PlbArchitecture::granular(), 'b', opts);
+  ASSERT_EQ(rep.obs.span_count("map.subject"), 1);
+  auto find = [&rep](std::string_view name) {
+    const auto it = std::find_if(rep.obs.spans.begin(), rep.obs.spans.end(),
+                                 [name](const SpanRecord& s) { return s.name == name; });
+    return it == rep.obs.spans.end() ? SpanRecord{} : *it;
+  };
+  const SpanRecord subject = find("map.subject");
+  EXPECT_TRUE(child_of(subject, find("stage.map")));
+  const SpanRecord compact = find("stage.compact");
+  EXPECT_FALSE(compact.start_us <= subject.start_us &&
+               subject.start_us + subject.dur_us <= compact.start_us + compact.dur_us);
+  EXPECT_EQ(rep.obs.span_count("map.tech_map"), 1);
+  EXPECT_TRUE(child_of(find("map.tech_map"), find("stage.map")));
+
+  const synth::Subject built(design.netlist);
+  const auto cuts = static_cast<long long>(built.cuts().total_cuts());
+  EXPECT_EQ(rep.obs.counter("map.cuts_enumerated"), cuts);
+  EXPECT_EQ(rep.obs.counter("map.match_attempts"), 4 * cuts);
 }
 
 TEST(FlowObs, DisabledRunCarriesNoObservability) {
