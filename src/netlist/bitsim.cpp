@@ -4,26 +4,30 @@
 
 namespace vpga::netlist {
 
-BitSimulator::BitSimulator(const Netlist& nl)
-    : nl_(nl), order_(nl.topo_order()), values_(nl.num_nodes(), 0) {
+template <class W>
+BasicBitSimulator<W>::BasicBitSimulator(const Netlist& nl)
+    : nl_(nl), order_(nl.topo_order()), values_(nl.num_nodes(), W{}) {
   for (NodeId id : nl.all_nodes()) {
     const Node& n = nl.node(id);
     if (n.type == NodeType::kConst)
-      values_[id.index()] = (n.func.bits() & 1) ? ~std::uint64_t{0} : 0;
+      values_[id.index()] = (n.func.bits() & 1) ? ~W{} : W{};
   }
 }
 
-void BitSimulator::set_input(std::size_t i, std::uint64_t patterns) {
+template <class W>
+void BasicBitSimulator<W>::set_input(std::size_t i, W patterns) {
   VPGA_ASSERT(i < nl_.inputs().size());
   values_[nl_.inputs()[i].index()] = patterns;
 }
 
-void BitSimulator::set_state(std::size_t d, std::uint64_t patterns) {
+template <class W>
+void BasicBitSimulator<W>::set_state(std::size_t d, W patterns) {
   VPGA_ASSERT(d < nl_.dffs().size());
   values_[nl_.dffs()[d].index()] = patterns;
 }
 
-void BitSimulator::eval() {
+template <class W>
+void BasicBitSimulator<W>::eval() {
   for (NodeId id : order_) {
     const Node& n = nl_.node(id);
     const auto fins = nl_.fanins(id);
@@ -36,17 +40,22 @@ void BitSimulator::eval() {
   }
 }
 
-std::uint64_t BitSimulator::output(std::size_t i) const {
+template <class W>
+W BasicBitSimulator<W>::output(std::size_t i) const {
   VPGA_ASSERT(i < nl_.outputs().size());
   return values_[nl_.outputs()[i].index()];
 }
 
-std::uint64_t BitSimulator::next_state(std::size_t d) const {
+template <class W>
+W BasicBitSimulator<W>::next_state(std::size_t d) const {
   VPGA_ASSERT(d < nl_.dffs().size());
   const NodeId din = nl_.fanin(nl_.dffs()[d], 0);
   VPGA_ASSERT(din.valid());
   return values_[din.index()];
 }
+
+template class BasicBitSimulator<std::uint64_t>;
+template class BasicBitSimulator<Word256>;
 
 bool exhaustive_equivalent(const Netlist& a, const Netlist& b, int max_inputs) {
   VPGA_ASSERT_MSG(a.dffs().empty() && b.dffs().empty(),

@@ -6,32 +6,57 @@
 /// a combinational netlist with n <= ~20 inputs can be checked against a
 /// reference *exhaustively* (2^n patterns, 64 at a time) in milliseconds —
 /// turning the synthesis pipeline's equivalence tests from sampling into
-/// proof for adder/mux-sized cones.
+/// proof for adder/mux-sized cones. A simulator over `Word256` carries four
+/// such words per node and evaluates all 256 patterns in one topological
+/// pass.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace vpga::netlist {
 
-/// One gate evaluated on 64 patterns at once: bit t of the result is `f`
-/// applied to bit t of each fanin word, where `word(k)` returns fanin k's
-/// word. For each row r with f(r) = 1, the fanin words in the row's
-/// polarities are ANDed and ORed into the result. This is the gate
-/// evaluator of BitSimulator and of the exact-equivalence checker's witness
-/// checks.
+/// 256 patterns per node as four 64-pattern words (word k holds patterns
+/// 64k .. 64k + 63), with the bitwise operators eval_gate needs.
+struct Word256 {
+  static constexpr std::size_t kWords = 4;
+  std::array<std::uint64_t, kWords> w{};
+
+  [[nodiscard]] Word256 operator~() const {
+    Word256 r;
+    for (std::size_t k = 0; k < kWords; ++k) r.w[k] = ~w[k];
+    return r;
+  }
+  Word256& operator&=(const Word256& o) {
+    for (std::size_t k = 0; k < kWords; ++k) w[k] &= o.w[k];
+    return *this;
+  }
+  Word256& operator|=(const Word256& o) {
+    for (std::size_t k = 0; k < kWords; ++k) w[k] |= o.w[k];
+    return *this;
+  }
+};
+
+/// One gate evaluated on a word of patterns at once: bit t of the result is
+/// `f` applied to bit t of each fanin word, where `word(k)` returns fanin
+/// k's word (a std::uint64_t or a Word256; the result has the same type).
+/// For each row r with f(r) = 1, the fanin words in the row's polarities are
+/// ANDed and ORed into the result. This is the gate evaluator of the bit
+/// simulators and of the exact-equivalence checker's witness checks.
 template <class FaninWord>
-[[nodiscard]] std::uint64_t eval_gate(const logic::TruthTable& f, std::size_t arity,
-                                      FaninWord word) {
-  std::uint64_t out = 0;
+[[nodiscard]] auto eval_gate(const logic::TruthTable& f, std::size_t arity, FaninWord word) {
+  using W = std::remove_cvref_t<decltype(word(std::size_t{0}))>;
+  W out{};
   const int rows = f.num_rows();
   for (int r = 0; r < rows; ++r) {
     if (!f.eval(static_cast<unsigned>(r))) continue;
-    std::uint64_t term = ~std::uint64_t{0};
+    W term = ~W{};
     for (std::size_t k = 0; k < arity; ++k) {
-      const std::uint64_t v = word(k);
+      const W v = word(k);
       term &= (r >> k) & 1 ? v : ~v;
     }
     out |= term;
@@ -39,29 +64,38 @@ template <class FaninWord>
   return out;
 }
 
-/// Evaluates 64 input patterns at once through the combinational logic.
-/// Sequential netlists are supported: DFF outputs are part of the pattern
-/// state you set explicitly (useful for checking next-state functions).
-class BitSimulator {
+/// Evaluates a word of input patterns at once through the combinational
+/// logic: 64 patterns for W = std::uint64_t (`BitSimulator`), 256 for
+/// W = Word256. Sequential netlists are supported: DFF outputs are part of
+/// the pattern state you set explicitly (useful for checking next-state
+/// functions). Instantiated for those two word types only.
+template <class W>
+class BasicBitSimulator {
  public:
-  explicit BitSimulator(const Netlist& nl);
+  explicit BasicBitSimulator(const Netlist& nl);
 
-  /// Sets the 64-pattern word of primary input i.
-  void set_input(std::size_t i, std::uint64_t patterns);
-  /// Sets the 64-pattern word of DFF d's output (state).
-  void set_state(std::size_t d, std::uint64_t patterns);
+  /// Sets the pattern word of primary input i.
+  void set_input(std::size_t i, W patterns);
+  /// Sets the pattern word of DFF d's output (state).
+  void set_state(std::size_t d, W patterns);
   /// Propagates through all combinational logic.
   void eval();
-  [[nodiscard]] std::uint64_t output(std::size_t i) const;
-  [[nodiscard]] std::uint64_t value(NodeId id) const { return values_[id.index()]; }
-  /// 64-pattern word of DFF d's next-state (D pin) after eval().
-  [[nodiscard]] std::uint64_t next_state(std::size_t d) const;
+  [[nodiscard]] W output(std::size_t i) const;
+  [[nodiscard]] W value(NodeId id) const { return values_[id.index()]; }
+  /// Pattern word of DFF d's next-state (D pin) after eval().
+  [[nodiscard]] W next_state(std::size_t d) const;
 
  private:
   const Netlist& nl_;
   std::vector<NodeId> order_;
-  std::vector<std::uint64_t> values_;
+  std::vector<W> values_;
 };
+
+extern template class BasicBitSimulator<std::uint64_t>;
+extern template class BasicBitSimulator<Word256>;
+
+/// The 64-pattern simulator.
+using BitSimulator = BasicBitSimulator<std::uint64_t>;
 
 /// Exhaustively proves combinational equivalence of two netlists with the
 /// same PI/PO interface and no registers. Requires #inputs <= max_inputs

@@ -34,7 +34,11 @@ struct ConeSupport {
 };
 
 /// Computes the support of the cone rooted at `root` (any non-output node;
-/// for an output or DFF pass its driver). Iterative, linear in cone size.
+/// for an output or DFF pass its fanin 0). Iterative. Each call zero-fills a
+/// fresh `num_nodes` visited array, so it costs O(num_nodes) plus the cone
+/// walk and the sort of its leaves: calling it once per register or output
+/// costs registers x netlist size (verify/regcorr.cpp sweeps 64 roots per
+/// pass instead).
 [[nodiscard]] ConeSupport cone_support(const Netlist& nl, NodeId root);
 
 /// Copies the cone rooted at `root` into a fresh netlist whose inputs are

@@ -19,6 +19,7 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "sat/cnf.hpp"
+#include "verify/regcorr.hpp"
 
 namespace vpga::verify {
 namespace {
@@ -29,6 +30,7 @@ using netlist::Netlist;
 using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeType;
+using netlist::Word256;
 
 /// 64-pattern word with bit t = (t >> i) & 1 — the i-th exhaustive lane.
 constexpr std::uint64_t lane_word(int i) {
@@ -68,228 +70,6 @@ logic::TruthTable cone_table(const Netlist& cone, int num_vars,
     tts[id.index()] = logic::compose(n.func, args);
   }
   return tts[cone.fanin(cone.outputs()[0], 0).index()];
-}
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// A register correspondence between the golden and revised DFF index
-/// spaces: perm maps golden index -> revised index, inv is its inverse.
-/// `kNone` marks a register with no partner; when any exist the
-/// correspondence is incomplete and no point comparison is well defined.
-struct RegisterCorrespondence {
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> perm;
-  std::vector<std::uint32_t> inv;
-  int classes = 0;
-  int rounds = 0;
-  int permuted = 0;
-  int fallbacks = 0;
-  std::vector<std::size_t> unmatched_golden;
-  std::vector<std::size_t> unmatched_revised;
-
-  [[nodiscard]] bool complete() const {
-    return unmatched_golden.empty() && unmatched_revised.empty();
-  }
-};
-
-/// Order-independent structural fingerprint of one D-cone: gate function
-/// words and arities (as a multiset), primary-input leaf indices (PIs
-/// correspond positionally, so their indices are shared currency) and leaf
-/// counts. State leaf *indices* are deliberately excluded — they are what
-/// the correspondence is solving for.
-std::uint64_t dcone_fingerprint(const Netlist& nl, NodeId droot) {
-  const ConeSupport sup = cone_support(nl, droot);
-  std::uint64_t h = mix64(0xF16E52ull + sup.states.size()) ^
-                    mix64((sup.comb_nodes << 16) + sup.inputs.size());
-  for (const std::uint32_t i : sup.inputs) h += mix64(0x1000000ull + i);
-  std::vector<std::uint8_t> visited(nl.num_nodes(), 0);
-  std::vector<NodeId> stack;
-  stack.reserve(sup.comb_nodes + 1);
-  stack.push_back(droot);
-  visited[droot.index()] = 1;
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    const Node& n = nl.node(id);
-    if (n.type != NodeType::kComb) continue;
-    h += mix64(n.func.bits() ^ (static_cast<std::uint64_t>(n.num_fanins()) << 56));
-    for (const NodeId fi : nl.fanins(id)) {
-      if (visited[fi.index()] == 0) {
-        visited[fi.index()] = 1;
-        stack.push_back(fi);
-      }
-    }
-  }
-  return h;
-}
-
-/// Signature-based register correspondence: partition-refine the registers of
-/// both netlists jointly — initial classes from structural D-cone
-/// fingerprints plus the set of outputs observing each register, then rounds
-/// of 256-pattern next-state simulation where every state leaf is driven by a
-/// deterministic word of its *class* (not its index), re-keying each register
-/// by (old class, signature, classes of its reader registers) until the
-/// partition is stable. The class-keyed stimulus propagates *controllability*
-/// forward; the reader-class term propagates *observability* backward — both
-/// are needed, because symmetric twins (two structurally identical timers)
-/// produce identical simulation signatures by construction and only who
-/// *reads* them tells them apart. Classes are side-independent, so pairing
-/// ascending within each class aligns reordered/renamed registers. Registers
-/// left unpaired fall back to their positional partner when that position is
-/// also unpaired (a genuinely diverged D function then refutes as
-/// cec.state-diverges with a witness); anything else is unmatched.
-RegisterCorrespondence match_registers(const Netlist& golden, const Netlist& revised) {
-  RegisterCorrespondence corr;
-  const std::size_t n = golden.dffs().size();
-  corr.perm.assign(n, RegisterCorrespondence::kNone);
-  corr.inv.assign(n, RegisterCorrespondence::kNone);
-  if (n == 0) return corr;
-  const Netlist* nets[2] = {&golden, &revised};
-
-  // Observability structure (per side): which outputs read register d
-  // (outputs correspond by index, so an order-independent hash of the output
-  // set is shared currency), and which registers read register d (as indices
-  // for now; their evolving classes feed every refinement round).
-  std::vector<std::uint64_t> obs[2];
-  std::vector<std::vector<std::uint32_t>> read_by[2];
-  for (int s = 0; s < 2; ++s) {
-    obs[s].assign(n, 0);
-    read_by[s].assign(n, {});
-    for (std::size_t o = 0; o < nets[s]->outputs().size(); ++o) {
-      const ConeSupport sup = cone_support(*nets[s], nets[s]->fanin(nets[s]->outputs()[o], 0));
-      for (const std::uint32_t d : sup.states) obs[s][d] += mix64(0x0B5E57ull + o);
-    }
-    for (std::size_t e = 0; e < n; ++e) {
-      const ConeSupport sup = cone_support(*nets[s], nets[s]->fanin(nets[s]->dffs()[e], 0));
-      for (const std::uint32_t d : sup.states) read_by[s][d].push_back(static_cast<std::uint32_t>(e));
-    }
-  }
-
-  // Round 0: classes from structural fingerprints + output observability,
-  // ids assigned by sorted key order so both sides agree on the numbering.
-  std::vector<std::uint64_t> fp[2];
-  std::vector<std::uint64_t> keys;
-  keys.reserve(2 * n);
-  for (int s = 0; s < 2; ++s) {
-    fp[s].reserve(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      fp[s].push_back(dcone_fingerprint(*nets[s], nets[s]->fanin(nets[s]->dffs()[d], 0)) +
-                      obs[s][d]);
-    }
-    keys.insert(keys.end(), fp[s].begin(), fp[s].end());
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<std::uint32_t> cls[2];
-  for (int s = 0; s < 2; ++s) {
-    cls[s].resize(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      cls[s][d] = static_cast<std::uint32_t>(
-          std::lower_bound(keys.begin(), keys.end(), fp[s][d]) - keys.begin());
-    }
-  }
-  std::size_t num_classes = keys.size();
-
-  // Shared primary-input stimulus (fixed seed: byte-stable correspondence).
-  constexpr int kWords = 4;  // 4 x 64 = 256 patterns per signature
-  common::Rng rng(0xC025E5F0ull);
-  const std::size_t ni = golden.inputs().size();
-  std::vector<std::uint64_t> in_words(ni * kWords);
-  for (auto& w : in_words) w = rng.next_u64();
-
-  struct RefineKey {
-    std::array<std::uint64_t, 6> t;  // (old class, 256-bit signature, readers)
-    std::uint32_t side_d;            // side << 31 | register index
-  };
-  std::vector<std::uint64_t> sig(2 * n * kWords);
-  std::vector<RefineKey> refine(2 * n);
-  for (int round = 1; round <= 64; ++round) {
-    corr.rounds = round;
-    for (int s = 0; s < 2; ++s) {
-      BitSimulator sim(*nets[s]);
-      for (int w = 0; w < kWords; ++w) {
-        for (std::size_t i = 0; i < ni; ++i) {
-          sim.set_input(i, in_words[static_cast<std::size_t>(w) * ni + i]);
-        }
-        for (std::size_t d = 0; d < n; ++d) {
-          sim.set_state(d, mix64(0xABCDull + (std::uint64_t{cls[s][d]} << 8) +
-                                 static_cast<std::uint64_t>(w)));
-        }
-        sim.eval();
-        for (std::size_t d = 0; d < n; ++d) {
-          sig[(static_cast<std::size_t>(s) * n + d) * kWords + static_cast<std::size_t>(w)] =
-              sim.next_state(d);
-        }
-      }
-    }
-    for (int s = 0; s < 2; ++s) {
-      for (std::size_t d = 0; d < n; ++d) {
-        RefineKey& k = refine[static_cast<std::size_t>(s) * n + d];
-        k.t[0] = cls[s][d];
-        for (int w = 0; w < kWords; ++w) {
-          k.t[static_cast<std::size_t>(w) + 1] =
-              sig[(static_cast<std::size_t>(s) * n + d) * kWords + static_cast<std::size_t>(w)];
-        }
-        // Backward observability: the multiset of classes reading this
-        // register (order-independent sum, refined as the partition splits).
-        std::uint64_t readers = 0;
-        for (const std::uint32_t e : read_by[s][d]) readers += mix64(0x4EADull + cls[s][e]);
-        k.t[5] = readers;
-        k.side_d = (static_cast<std::uint32_t>(s) << 31) | static_cast<std::uint32_t>(d);
-      }
-    }
-    std::sort(refine.begin(), refine.end(), [](const RefineKey& a, const RefineKey& b) {
-      return a.t != b.t ? a.t < b.t : a.side_d < b.side_d;
-    });
-    std::uint32_t next_id = 0;
-    for (std::size_t i = 0; i < refine.size(); ++i) {
-      if (i > 0 && refine[i].t != refine[i - 1].t) ++next_id;
-      const int s = static_cast<int>(refine[i].side_d >> 31);
-      cls[s][refine[i].side_d & 0x7FFFFFFFu] = next_id;
-    }
-    // The key carries the old class, so the partition only ever splits;
-    // an unchanged class count is the fixpoint.
-    if (static_cast<std::size_t>(next_id) + 1 == num_classes) break;
-    num_classes = static_cast<std::size_t>(next_id) + 1;
-  }
-  corr.classes = static_cast<int>(num_classes);
-
-  // Pair ascending within each class, then the positional fallback.
-  std::vector<std::vector<std::uint32_t>> members[2];
-  for (int s = 0; s < 2; ++s) {
-    members[s].resize(num_classes);
-    for (std::size_t d = 0; d < n; ++d) {
-      members[s][cls[s][d]].push_back(static_cast<std::uint32_t>(d));
-    }
-  }
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    const auto& gm = members[0][c];
-    const auto& rm = members[1][c];
-    const std::size_t k = std::min(gm.size(), rm.size());
-    for (std::size_t i = 0; i < k; ++i) {
-      corr.perm[gm[i]] = rm[i];
-      corr.inv[rm[i]] = gm[i];
-    }
-  }
-  for (std::size_t d = 0; d < n; ++d) {
-    if (corr.perm[d] == RegisterCorrespondence::kNone &&
-        corr.inv[d] == RegisterCorrespondence::kNone) {
-      corr.perm[d] = static_cast<std::uint32_t>(d);
-      corr.inv[d] = static_cast<std::uint32_t>(d);
-      ++corr.fallbacks;
-    }
-  }
-  for (std::size_t d = 0; d < n; ++d) {
-    if (corr.perm[d] == RegisterCorrespondence::kNone) corr.unmatched_golden.push_back(d);
-    if (corr.inv[d] == RegisterCorrespondence::kNone) corr.unmatched_revised.push_back(d);
-    if (corr.perm[d] != RegisterCorrespondence::kNone && corr.perm[d] != d) ++corr.permuted;
-  }
-  return corr;
 }
 
 /// Checks witness claims against one AIG: a claim says that a gate `f` over
@@ -379,8 +159,11 @@ class PointChecker {
                const RegisterCorrespondence& corr, const CecOptions& opts, CecReport& report)
       : golden_(golden), revised_(revised), corr_(corr), opts_(opts), report_(report) {
     if (opts_.structural_tier) {
-      side_signatures(golden_, sig_[0], {});
-      side_signatures(revised_, sig_[1], corr_.inv);
+      {
+        const obs::Span span("cec.signatures");
+        side_signatures(golden_, sig_[0], {});
+        side_signatures(revised_, sig_[1], corr_.inv);
+      }
       if (!opts_.force_bdd) check_witnesses();
     }
   }
@@ -764,7 +547,6 @@ class PointChecker {
     return false;
   }
 
-  static constexpr int kSweepWords = 4;          ///< 256 shared stimulus patterns
   static constexpr long long kSweepBudget = 100;  ///< conflicts per candidate proof
 
   /// SAT sweeping: simulate both netlists on the same deterministic stimulus,
@@ -776,9 +558,10 @@ class PointChecker {
   /// finishing in milliseconds and not finishing at all.
   void sat_sweep() {
     common::Rng rng(0xCEC5EEDull);  // fixed seed: sweep results are byte-stable
-    const std::size_t width = golden_.inputs().size() + golden_.dffs().size();
-    stimulus_.resize(width * static_cast<std::size_t>(kSweepWords));
-    for (auto& w : stimulus_) w = rng.next_u64();
+    stimulus_.resize(golden_.inputs().size() + golden_.dffs().size());
+    for (std::size_t w = 0; w < Word256::kWords; ++w) {
+      for (Word256& slot : stimulus_) slot.w[w] = rng.next_u64();
+    }
     sim_signatures(golden_, sweep_sig_[0], {});
     sim_signatures(revised_, sweep_sig_[1], corr_.inv);
     for (const NodeId id : golden_.topo_order()) {
@@ -793,28 +576,22 @@ class PointChecker {
     }
   }
 
-  /// Evaluates kSweepWords shared stimulus words through `nl`, storing every
-  /// node's response words contiguously in `sig`. `state_key` (the revised
-  /// side's correspondence) redirects each DFF to its golden partner's
-  /// stimulus word so corresponding leaves see identical patterns.
-  void sim_signatures(const Netlist& nl, std::vector<std::uint64_t>& sig,
+  /// Evaluates the 256 shared stimulus patterns through `nl` in one pass,
+  /// storing every node's response in `sig`. Stimulus slot i drives input i
+  /// and slot inputs + d drives DFF d; `state_key` (the revised side's
+  /// correspondence) redirects each DFF to its golden partner's slot so
+  /// corresponding leaves see identical patterns.
+  void sim_signatures(const Netlist& nl, std::vector<Word256>& sig,
                       std::span<const std::uint32_t> state_key) {
-    sig.assign(nl.num_nodes() * static_cast<std::size_t>(kSweepWords), 0);
-    BitSimulator sim(nl);
+    netlist::BasicBitSimulator<Word256> sim(nl);
     const std::size_t ni = nl.inputs().size();
-    for (int w = 0; w < kSweepWords; ++w) {
-      const std::uint64_t* words = stimulus_.data() +
-                                   static_cast<std::size_t>(w) * (ni + nl.dffs().size());
-      for (std::size_t i = 0; i < ni; ++i) sim.set_input(i, words[i]);
-      for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
-        sim.set_state(d, words[ni + (state_key.empty() ? d : state_key[d])]);
-      }
-      sim.eval();
-      for (const NodeId id : nl.all_nodes()) {
-        sig[id.index() * static_cast<std::size_t>(kSweepWords) + static_cast<std::size_t>(w)] =
-            sim.value(id);
-      }
+    for (std::size_t i = 0; i < ni; ++i) sim.set_input(i, stimulus_[i]);
+    for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
+      sim.set_state(d, stimulus_[ni + (state_key.empty() ? d : state_key[d])]);
     }
+    sim.eval();
+    sig.resize(nl.num_nodes());
+    for (const NodeId id : nl.all_nodes()) sig[id.index()] = sim.value(id);
   }
 
   /// Registers node `id` (literal `lit`) under its canonical signature, or —
@@ -827,8 +604,7 @@ class PointChecker {
   /// and the sweep drops SAT models anyway, so at worst it costs a merge,
   /// never a verdict.
   void sweep_node(int side, NodeId id, sat::Lit lit) {
-    const std::uint64_t* sig =
-        sweep_sig_[side].data() + id.index() * static_cast<std::size_t>(kSweepWords);
+    const auto& sig = sweep_sig_[side][id.index()].w;
     const bool phase = (sig[0] & 1u) != 0;  // complement-canonical form
     const std::uint64_t w0 = phase ? ~sig[0] : sig[0];
     const std::uint64_t w1 = phase ? ~sig[1] : sig[1];
@@ -980,8 +756,8 @@ class PointChecker {
   std::vector<std::uint32_t> sig_[2];
   std::vector<aig::Lit> wit_[2];  ///< checked witness literal per node, or kNoLit
   common::FnKeyMap sweepmap_;
-  std::vector<std::uint64_t> stimulus_;
-  std::vector<std::uint64_t> sweep_sig_[2];
+  std::vector<Word256> stimulus_;  ///< one 256-pattern word per input, then per DFF
+  std::vector<Word256> sweep_sig_[2];
   ConeSupport merged_;
   ConeSupport merged_rev_;  ///< merged support in the revised index space
   std::vector<logic::TruthTable> tts_;
@@ -1084,7 +860,11 @@ CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& 
     report.equivalent = false;
     return report;
   }
-  const RegisterCorrespondence corr = match_registers(golden, revised);
+  RegisterCorrespondence corr;
+  {
+    const obs::Span span("cec.corr");
+    corr = match_registers(golden, revised);
+  }
   report.corr_classes = corr.classes;
   report.corr_rounds = corr.rounds;
   report.corr_permuted = corr.permuted;

@@ -54,11 +54,12 @@
 /// sends every point to one full-budget BDD attempt first, with SAT as its
 /// only fallback.
 ///
-/// Sequential netlists are first aligned by *register correspondence*:
-/// instead of assuming DFF i on one side is DFF i on the other, registers are
-/// partition-refined by 256-pattern next-state simulation signatures plus
-/// structural cone fingerprints (jointly over both sides, so class ids are
-/// side-independent), then paired within classes. Netlists whose registers
+/// Sequential netlists are first aligned by *register correspondence*
+/// (verify/regcorr.hpp): instead of assuming DFF i on one side is DFF i on
+/// the other, registers are partition-refined by 256-pattern next-state
+/// simulation signatures plus structural cone fingerprints (jointly over
+/// both sides, so class ids are side-independent), then paired within
+/// classes. Netlists whose registers
 /// were reordered or renamed therefore still verify; registers with no
 /// signature-compatible partner on the other side are reported via
 /// cec.state-unmatched and no point comparison is attempted (without a state

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "compact/compact.hpp"
 #include "designs/designs.hpp"
 #include "synth/mapper.hpp"
@@ -55,6 +58,58 @@ TEST(BitSim, NextStateReadsDffDInputs) {
   for (int d = 0; d < 4; ++d)
     EXPECT_EQ(sim.next_state(static_cast<std::size_t>(d)) & 1,
               static_cast<std::uint64_t>((6 >> d) & 1));
+}
+
+TEST(BitSim, Word256EvalEqualsFourOneWordEvals) {
+  // Seeded random sequential netlists with gate arities 0-6: one 256-pattern
+  // pass must give every node the four words that four 64-pattern passes
+  // give it.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    common::Rng rng(seed);
+    Netlist nl("random");
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 6; ++i) pool.push_back(nl.add_input("i" + std::to_string(i)));
+    std::vector<NodeId> regs;
+    for (int d = 0; d < 4; ++d) regs.push_back(nl.add_dff(NodeId(), "q" + std::to_string(d)));
+    pool.insert(pool.end(), regs.begin(), regs.end());
+    pool.push_back(nl.add_constant(seed % 2 == 0));
+    for (int g = 0; g < 60; ++g) {
+      const int arity = static_cast<int>(rng.next_below(7));
+      std::vector<NodeId> fanins;
+      for (int k = 0; k < arity; ++k) fanins.push_back(pool[rng.next_below(pool.size())]);
+      pool.push_back(nl.add_comb(logic::TruthTable(arity, rng.next_u64()), fanins));
+    }
+    for (const NodeId q : regs) nl.set_dff_input(q, pool[rng.next_below(pool.size())]);
+    for (std::size_t o = 1; o <= 3; ++o) {
+      nl.add_output(pool[pool.size() - o], "o" + std::to_string(o));
+    }
+
+    BasicBitSimulator<Word256> wide(nl);
+    std::vector<BitSimulator> narrow;
+    for (std::size_t w = 0; w < Word256::kWords; ++w) narrow.emplace_back(nl);
+    auto stimulus = [&](auto set) {
+      Word256 v;
+      for (std::size_t w = 0; w < Word256::kWords; ++w) {
+        v.w[w] = rng.next_u64();
+        set(narrow[w], v.w[w]);
+      }
+      return v;
+    };
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      wide.set_input(i, stimulus([i](BitSimulator& sim, std::uint64_t x) { sim.set_input(i, x); }));
+    }
+    for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
+      wide.set_state(d, stimulus([d](BitSimulator& sim, std::uint64_t x) { sim.set_state(d, x); }));
+    }
+    wide.eval();
+    for (BitSimulator& sim : narrow) sim.eval();
+    for (const NodeId id : nl.all_nodes()) {
+      for (std::size_t w = 0; w < Word256::kWords; ++w) {
+        ASSERT_EQ(wide.value(id).w[w], narrow[w].value(id)) << "seed " << seed << ", node "
+                                                             << id.index() << ", word " << w;
+      }
+    }
+  }
 }
 
 TEST(Exhaustive, AdderStylesProvablyEquivalent) {

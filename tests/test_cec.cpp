@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,18 +20,23 @@
 #include "core/plb.hpp"
 #include "designs/designs.hpp"
 #include "netlist/bitsim.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/json.hpp"
 #include "synth/mapper.hpp"
 #include "verify/equiv.hpp"
+#include "verify/regcorr.hpp"
 #include "witness_helpers.hpp"
 
 namespace vpga::verify {
 namespace {
 
 using netlist::BitSimulator;
+using netlist::ConeSupport;
 using netlist::Netlist;
+using netlist::Node;
 using netlist::NodeId;
+using netlist::NodeType;
 
 /// Replays a counterexample through both original netlists and returns true
 /// iff the diverging point really computes different values — the
@@ -862,6 +869,310 @@ TEST(Cec, CounterexampleDumpEscapesNames) {
   ASSERT_NE(doc.find("inputs"), nullptr);
   EXPECT_EQ(doc.find("inputs")->array.size(), 8u);
   std::remove(path.c_str());
+}
+
+// --- Register correspondence against its reference ----------------------------
+
+// The reference below is the correspondence as it was computed before the
+// word-parallel cone sweeps: three cone walks per register and one per
+// output, and one 64-pattern simulator pass per side, word and round. It is
+// kept verbatim, bar its name, so that match_registers can be held to it.
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// Order-independent structural fingerprint of one D-cone: gate function
+/// words and arities (as a multiset), primary-input leaf indices (PIs
+/// correspond positionally, so their indices are shared currency) and leaf
+/// counts. State leaf *indices* are deliberately excluded — they are what
+/// the correspondence is solving for.
+std::uint64_t dcone_fingerprint(const Netlist& nl, NodeId droot) {
+  const ConeSupport sup = cone_support(nl, droot);
+  std::uint64_t h = mix64(0xF16E52ull + sup.states.size()) ^
+                    mix64((sup.comb_nodes << 16) + sup.inputs.size());
+  for (const std::uint32_t i : sup.inputs) h += mix64(0x1000000ull + i);
+  std::vector<std::uint8_t> visited(nl.num_nodes(), 0);
+  std::vector<NodeId> stack;
+  stack.reserve(sup.comb_nodes + 1);
+  stack.push_back(droot);
+  visited[droot.index()] = 1;
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    const Node& n = nl.node(id);
+    if (n.type != NodeType::kComb) continue;
+    h += mix64(n.func.bits() ^ (static_cast<std::uint64_t>(n.num_fanins()) << 56));
+    for (const NodeId fi : nl.fanins(id)) {
+      if (visited[fi.index()] == 0) {
+        visited[fi.index()] = 1;
+        stack.push_back(fi);
+      }
+    }
+  }
+  return h;
+}
+
+/// Signature-based register correspondence: partition-refine the registers of
+/// both netlists jointly — initial classes from structural D-cone
+/// fingerprints plus the set of outputs observing each register, then rounds
+/// of 256-pattern next-state simulation where every state leaf is driven by a
+/// deterministic word of its *class* (not its index), re-keying each register
+/// by (old class, signature, classes of its reader registers) until the
+/// partition is stable. The class-keyed stimulus propagates *controllability*
+/// forward; the reader-class term propagates *observability* backward — both
+/// are needed, because symmetric twins (two structurally identical timers)
+/// produce identical simulation signatures by construction and only who
+/// *reads* them tells them apart. Classes are side-independent, so pairing
+/// ascending within each class aligns reordered/renamed registers. Registers
+/// left unpaired fall back to their positional partner when that position is
+/// also unpaired (a genuinely diverged D function then refutes as
+/// cec.state-diverges with a witness); anything else is unmatched.
+RegisterCorrespondence reference_match_registers(const Netlist& golden,
+                                                  const Netlist& revised) {
+  RegisterCorrespondence corr;
+  const std::size_t n = golden.dffs().size();
+  corr.perm.assign(n, RegisterCorrespondence::kNone);
+  corr.inv.assign(n, RegisterCorrespondence::kNone);
+  if (n == 0) return corr;
+  const Netlist* nets[2] = {&golden, &revised};
+
+  // Observability structure (per side): which outputs read register d
+  // (outputs correspond by index, so an order-independent hash of the output
+  // set is shared currency), and which registers read register d (as indices
+  // for now; their evolving classes feed every refinement round).
+  std::vector<std::uint64_t> obs[2];
+  std::vector<std::vector<std::uint32_t>> read_by[2];
+  for (int s = 0; s < 2; ++s) {
+    obs[s].assign(n, 0);
+    read_by[s].assign(n, {});
+    for (std::size_t o = 0; o < nets[s]->outputs().size(); ++o) {
+      const ConeSupport sup = cone_support(*nets[s], nets[s]->fanin(nets[s]->outputs()[o], 0));
+      for (const std::uint32_t d : sup.states) obs[s][d] += mix64(0x0B5E57ull + o);
+    }
+    for (std::size_t e = 0; e < n; ++e) {
+      const ConeSupport sup = cone_support(*nets[s], nets[s]->fanin(nets[s]->dffs()[e], 0));
+      for (const std::uint32_t d : sup.states) read_by[s][d].push_back(static_cast<std::uint32_t>(e));
+    }
+  }
+
+  // Round 0: classes from structural fingerprints + output observability,
+  // ids assigned by sorted key order so both sides agree on the numbering.
+  std::vector<std::uint64_t> fp[2];
+  std::vector<std::uint64_t> keys;
+  keys.reserve(2 * n);
+  for (int s = 0; s < 2; ++s) {
+    fp[s].reserve(n);
+    for (std::size_t d = 0; d < n; ++d) {
+      fp[s].push_back(dcone_fingerprint(*nets[s], nets[s]->fanin(nets[s]->dffs()[d], 0)) +
+                      obs[s][d]);
+    }
+    keys.insert(keys.end(), fp[s].begin(), fp[s].end());
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<std::uint32_t> cls[2];
+  for (int s = 0; s < 2; ++s) {
+    cls[s].resize(n);
+    for (std::size_t d = 0; d < n; ++d) {
+      cls[s][d] = static_cast<std::uint32_t>(
+          std::lower_bound(keys.begin(), keys.end(), fp[s][d]) - keys.begin());
+    }
+  }
+  std::size_t num_classes = keys.size();
+
+  // Shared primary-input stimulus (fixed seed: byte-stable correspondence).
+  constexpr int kWords = 4;  // 4 x 64 = 256 patterns per signature
+  common::Rng rng(0xC025E5F0ull);
+  const std::size_t ni = golden.inputs().size();
+  std::vector<std::uint64_t> in_words(ni * kWords);
+  for (auto& w : in_words) w = rng.next_u64();
+
+  struct RefineKey {
+    std::array<std::uint64_t, 6> t;  // (old class, 256-bit signature, readers)
+    std::uint32_t side_d;            // side << 31 | register index
+  };
+  std::vector<std::uint64_t> sig(2 * n * kWords);
+  std::vector<RefineKey> refine(2 * n);
+  for (int round = 1; round <= 64; ++round) {
+    corr.rounds = round;
+    for (int s = 0; s < 2; ++s) {
+      BitSimulator sim(*nets[s]);
+      for (int w = 0; w < kWords; ++w) {
+        for (std::size_t i = 0; i < ni; ++i) {
+          sim.set_input(i, in_words[static_cast<std::size_t>(w) * ni + i]);
+        }
+        for (std::size_t d = 0; d < n; ++d) {
+          sim.set_state(d, mix64(0xABCDull + (std::uint64_t{cls[s][d]} << 8) +
+                                 static_cast<std::uint64_t>(w)));
+        }
+        sim.eval();
+        for (std::size_t d = 0; d < n; ++d) {
+          sig[(static_cast<std::size_t>(s) * n + d) * kWords + static_cast<std::size_t>(w)] =
+              sim.next_state(d);
+        }
+      }
+    }
+    for (int s = 0; s < 2; ++s) {
+      for (std::size_t d = 0; d < n; ++d) {
+        RefineKey& k = refine[static_cast<std::size_t>(s) * n + d];
+        k.t[0] = cls[s][d];
+        for (int w = 0; w < kWords; ++w) {
+          k.t[static_cast<std::size_t>(w) + 1] =
+              sig[(static_cast<std::size_t>(s) * n + d) * kWords + static_cast<std::size_t>(w)];
+        }
+        // Backward observability: the multiset of classes reading this
+        // register (order-independent sum, refined as the partition splits).
+        std::uint64_t readers = 0;
+        for (const std::uint32_t e : read_by[s][d]) readers += mix64(0x4EADull + cls[s][e]);
+        k.t[5] = readers;
+        k.side_d = (static_cast<std::uint32_t>(s) << 31) | static_cast<std::uint32_t>(d);
+      }
+    }
+    std::sort(refine.begin(), refine.end(), [](const RefineKey& a, const RefineKey& b) {
+      return a.t != b.t ? a.t < b.t : a.side_d < b.side_d;
+    });
+    std::uint32_t next_id = 0;
+    for (std::size_t i = 0; i < refine.size(); ++i) {
+      if (i > 0 && refine[i].t != refine[i - 1].t) ++next_id;
+      const int s = static_cast<int>(refine[i].side_d >> 31);
+      cls[s][refine[i].side_d & 0x7FFFFFFFu] = next_id;
+    }
+    // The key carries the old class, so the partition only ever splits;
+    // an unchanged class count is the fixpoint.
+    if (static_cast<std::size_t>(next_id) + 1 == num_classes) break;
+    num_classes = static_cast<std::size_t>(next_id) + 1;
+  }
+  corr.classes = static_cast<int>(num_classes);
+
+  // Pair ascending within each class, then the positional fallback.
+  std::vector<std::vector<std::uint32_t>> members[2];
+  for (int s = 0; s < 2; ++s) {
+    members[s].resize(num_classes);
+    for (std::size_t d = 0; d < n; ++d) {
+      members[s][cls[s][d]].push_back(static_cast<std::uint32_t>(d));
+    }
+  }
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    const auto& gm = members[0][c];
+    const auto& rm = members[1][c];
+    const std::size_t k = std::min(gm.size(), rm.size());
+    for (std::size_t i = 0; i < k; ++i) {
+      corr.perm[gm[i]] = rm[i];
+      corr.inv[rm[i]] = gm[i];
+    }
+  }
+  for (std::size_t d = 0; d < n; ++d) {
+    if (corr.perm[d] == RegisterCorrespondence::kNone &&
+        corr.inv[d] == RegisterCorrespondence::kNone) {
+      corr.perm[d] = static_cast<std::uint32_t>(d);
+      corr.inv[d] = static_cast<std::uint32_t>(d);
+      ++corr.fallbacks;
+    }
+  }
+  for (std::size_t d = 0; d < n; ++d) {
+    if (corr.perm[d] == RegisterCorrespondence::kNone) corr.unmatched_golden.push_back(d);
+    if (corr.inv[d] == RegisterCorrespondence::kNone) corr.unmatched_revised.push_back(d);
+    if (corr.perm[d] != RegisterCorrespondence::kNone && corr.perm[d] != d) ++corr.permuted;
+  }
+  return corr;
+}
+
+void expect_same_correspondence(const Netlist& golden, const Netlist& revised,
+                                const std::string& what) {
+  const RegisterCorrespondence want = reference_match_registers(golden, revised);
+  const RegisterCorrespondence got = match_registers(golden, revised);
+  EXPECT_EQ(got.perm, want.perm) << what;
+  EXPECT_EQ(got.inv, want.inv) << what;
+  EXPECT_EQ(got.classes, want.classes) << what;
+  EXPECT_EQ(got.rounds, want.rounds) << what;
+  EXPECT_EQ(got.permuted, want.permuted) << what;
+  EXPECT_EQ(got.fallbacks, want.fallbacks) << what;
+  EXPECT_EQ(got.unmatched_golden, want.unmatched_golden) << what;
+  EXPECT_EQ(got.unmatched_revised, want.unmatched_revised) << what;
+}
+
+/// A seeded Fisher-Yates permutation of 0..n-1.
+std::vector<std::size_t> seeded_permutation(std::size_t n, std::uint64_t seed) {
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  common::Rng rng(seed);
+  for (std::size_t i = n; i > 1; --i) std::swap(perm[i - 1], perm[rng.next_below(i)]);
+  return perm;
+}
+
+TEST(RegCorr, MatchesTheReferenceOnPaperSuitePairs) {
+  // Every 0.15-scale paper design on both PLBs against its post-map and
+  // post-compact netlists, each also with its registers declared in a
+  // seeded order, and two mapped mutants. Firewire and the switch have more
+  // than 64 registers and the switch more than 64 outputs, so the sweeps
+  // run several 64-root blocks.
+  std::uint64_t seed = 1;
+  std::size_t most_registers = 0;
+  std::size_t most_outputs = 0;
+  for (const auto& arch : {core::PlbArchitecture::granular(), core::PlbArchitecture::lut_based()}) {
+    for (const auto& design : designs::paper_suite(0.15)) {
+      const Netlist& golden = design.netlist;
+      most_registers = std::max(most_registers, golden.dffs().size());
+      most_outputs = std::max(most_outputs, golden.outputs().size());
+      const auto mapped =
+          synth::tech_map(golden, synth::cell_target(arch), synth::Objective::kDelay);
+      const auto compacted = compact::compact_from(golden, mapped.netlist, arch);
+      const std::string what = golden.name() + " on " + arch.name;
+      for (const auto& [revised, stage] :
+           {std::pair<const Netlist*, const char*>{&mapped.netlist, ", post-map"},
+            {&compacted.netlist, ", post-compact"}}) {
+        expect_same_correspondence(golden, *revised, what + stage);
+        const auto perm = seeded_permutation(revised->dffs().size(), seed++);
+        expect_same_correspondence(golden, permute_registers(*revised, perm),
+                                   what + stage + ", permuted");
+      }
+      for (const bool flip_gate : {false, true}) {
+        expect_same_correspondence(golden, mapped_mutant(design, arch, flip_gate, seed++),
+                                   what + (flip_gate ? ", gate flip" : ", inverted output"));
+      }
+    }
+  }
+  EXPECT_GT(most_registers, 128u);
+  EXPECT_GT(most_outputs, 64u);
+}
+
+TEST(RegCorr, TwinRegistersAndLeafRootsMatchTheReference) {
+  // Two structurally identical toggle timers that only their readers tell
+  // apart, and registers whose D-cone root is itself a leaf: a primary
+  // input, another register, the register itself.
+  Netlist nl("twins");
+  const NodeId x = nl.add_input("x");
+  const NodeId en = nl.add_input("en");
+  const NodeId t1 = nl.add_dff(NodeId(), "t1");
+  const NodeId t2 = nl.add_dff(NodeId(), "t2");
+  nl.set_dff_input(t1, nl.add_xor(t1, en));
+  nl.set_dff_input(t2, nl.add_xor(t2, en));
+  const NodeId r1 = nl.add_dff(nl.add_and(t1, x), "r1");
+  const NodeId r2 = nl.add_dff(nl.add_or(t2, x), "r2");
+  const NodeId p = nl.add_dff(x, "p");
+  const NodeId q = nl.add_dff(p, "q");
+  const NodeId hold = nl.add_dff(NodeId(), "hold");
+  nl.set_dff_input(hold, hold);
+  nl.add_output(nl.add_xor(r1, r2), "y");
+  nl.add_output(q, "z");
+  nl.add_output(nl.add_and(hold, en), "h");
+  const std::size_t n = nl.dffs().size();
+  std::vector<std::size_t> reversed(n);
+  for (std::size_t i = 0; i < n; ++i) reversed[i] = n - 1 - i;
+  std::vector<std::vector<std::size_t>> perms = {seeded_permutation(n, 0), reversed};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) perms.push_back(seeded_permutation(n, seed));
+  for (const auto& perm : perms) {
+    const Netlist revised = permute_registers(nl, perm);
+    expect_same_correspondence(nl, revised, "twins");
+    // Every register, the twins included, pairs with its own copy.
+    const RegisterCorrespondence corr = match_registers(nl, revised);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(corr.perm[perm[i]], i);
+    EXPECT_EQ(corr.fallbacks, 0);
+  }
 }
 
 }  // namespace

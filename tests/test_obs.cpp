@@ -459,6 +459,29 @@ TEST(FlowObs, ExactRunNestsCecTierSpansUnderTheProof) {
   EXPECT_FALSE(rep.obs.has_span("cec.miter"));
 }
 
+TEST(FlowObs, EveryProofTracesItsCorrespondenceAndSignatures) {
+  // Register correspondence and the structural signatures are the front end
+  // of every exact proof: in a sequential design's exact flow, each
+  // verify.cec span holds exactly one of each as a direct child.
+  flow::FlowOptions opts;
+  opts.trace = true;
+  opts.verify_level = verify::VerifyLevel::kExact;
+  const auto rep = flow::run_flow(designs::make_firewire(4, 8),
+                                  core::PlbArchitecture::granular(), 'a', opts);
+  ASSERT_GT(rep.obs.span_count("verify.cec"), 0);
+  for (const SpanRecord& p : rep.obs.spans) {
+    if (p.name != "verify.cec") continue;
+    for (const std::string_view child : {"cec.corr", "cec.signatures"}) {
+      const auto children =
+          std::count_if(rep.obs.spans.begin(), rep.obs.spans.end(),
+                        [&](const SpanRecord& s) { return s.name == child && child_of(s, p); });
+      EXPECT_EQ(children, 1) << child << " under verify.cec at " << p.start_us << " us";
+    }
+  }
+  EXPECT_EQ(rep.obs.span_count("cec.corr"), rep.obs.span_count("verify.cec"));
+  EXPECT_EQ(rep.obs.span_count("cec.signatures"), rep.obs.span_count("verify.cec"));
+}
+
 TEST(FlowObs, OneSubjectServesTheMapAndEveryPricingRound) {
   // The delay map and compaction's three pricing rounds cover one subject:
   // it is built once, inside stage.map, and its cuts are enumerated once and
