@@ -10,8 +10,10 @@
 // Doubles as the observability guard: exits nonzero if any expected stage
 // span is missing from any run, if a run does not build exactly one mapping
 // subject (one `map.subject` span, shared by the delay map and every
-// compaction pricing round), or if the emitted JSON does not parse back
-// (obs/json.hpp). VPGA_BENCH_SCALE shrinks the designs as usual.
+// compaction pricing round) or exactly one placement spread (one
+// `place.median_sweeps` span, shared by both anneals), or if the emitted JSON
+// does not parse back (obs/json.hpp). VPGA_BENCH_SCALE shrinks the designs as
+// usual.
 //
 // v2 vs v1: adds the per-run "memory" object and moves the dynamic
 // "<span>.alloc_*" counter family there (counters stay exact-comparable
@@ -51,13 +53,15 @@ bool is_memory_counter(std::string_view name) {
 }
 
 // Spans every flow must record exactly once: the stages (stage.pack repeats
-// per pack<->STA iteration in flow b and never appears in flow a) and
+// per pack<->STA iteration in flow b and never appears in flow a),
 // map.subject, the one mapping subject that the delay map and every
-// compaction pricing round share.
+// compaction pricing round share, and place.median_sweeps, the one placement
+// spread that the uniform and the timing-driven anneal start from.
 const std::vector<std::string>& required_spans() {
   static const std::vector<std::string> spans = {
       "stage.verify", "stage.map",   "stage.compact", "stage.buffer",
-      "stage.place",  "stage.route", "stage.sta",     "map.subject"};
+      "stage.place",  "stage.route", "stage.sta",     "map.subject",
+      "place.median_sweeps"};
   return spans;
 }
 

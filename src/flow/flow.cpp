@@ -87,12 +87,12 @@ FlowReport run_flow_impl(const designs::BenchmarkDesign& design,
   place::Placement placed;
   {
     const obs::Span span("stage.place");
-    placed = place::place(nl, popts);
+    const place::Placer placer(nl, popts);
+    placed = placer.anneal({});
     // Timing-driven placement refinement (Dolphin's physical synthesis is
-    // timing-driven): one STA pass feeds criticality weights into a re-place.
-    const auto t = timing::analyze(nl, placed, sta);
-    popts.criticality = t.criticality;
-    placed = place::place(nl, popts);
+    // timing-driven): one STA pass feeds criticality weights into a second
+    // anneal from the same spread.
+    placed = placer.anneal(timing::analyze(nl, placed, sta).criticality);
   }
 
   if (which == 'a') {
@@ -120,15 +120,16 @@ FlowReport run_flow_impl(const designs::BenchmarkDesign& design,
   // flow b: legalize into the PLB array inside a timing-driven loop.
   pack::PackOptions packo;
   pack::PackedDesign packed;
-  for (int iter = 0; iter < std::max(1, opts.pack_timing_iterations); ++iter) {
+  const int pack_iterations = std::max(1, opts.pack_timing_iterations);
+  for (int iter = 0; iter < pack_iterations; ++iter) {
     const obs::Span span("stage.pack");
     obs::count("flow.pack_sta_iterations");
     packed = pack::pack(nl, placed, arch, packo);
     // Timing on the legalized design feeds criticality back into the next
-    // packing round (the paper's packing <-> physical-synthesis iteration).
-    timing::StaOptions pre = sta;
-    const auto t = timing::analyze(nl, packed.legal, pre);
-    packo.criticality = t.criticality;
+    // packing round (the paper's packing <-> physical-synthesis iteration);
+    // the last round has no next one to feed.
+    if (iter + 1 < pack_iterations)
+      packo.criticality = timing::analyze(nl, packed.legal, sta).criticality;
   }
   verify::enforce(verifier.check(verify::Stage::kPostPack, nl, &golden, &packed));
 

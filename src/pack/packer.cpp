@@ -100,31 +100,43 @@ int first_fit(const std::vector<Group>& groups, const TileStateTable& table) {
   return static_cast<int>(tiles.size());
 }
 
-/// Per-class demand tally. ComponentClass is a bitmask over the
-/// kNumPlbComponents component kinds, so every possible class fits in a flat
-/// array of 2^kNumPlbComponents counters — trivially copyable and walked
-/// without node churn inside the Hall subset loop.
-using DemandTally = std::array<int, std::size_t{1} << core::kNumPlbComponents>;
+/// Slot demand per component subset: d[S] counts the needs whose resource
+/// class (ComponentClass, a bitmask over the kNumPlbComponents component
+/// kinds) lies inside S, so d[all kinds] is the total demand. A flat array of
+/// 2^kNumPlbComponents counters, trivially copyable.
+using SubsetDemand = std::array<int, std::size_t{1} << core::kNumPlbComponents>;
+
+/// One configuration's needs as subset demand: each need counts in every
+/// subset that contains its class.
+SubsetDemand subset_demand(const core::ConfigSpec& spec) {
+  SubsetDemand d{};
+  for (const unsigned cls : spec.needs)
+    for (unsigned subset = cls; subset < d.size(); subset = (subset + 1) | cls) ++d[subset];
+  return d;
+}
+
+/// Adds (`delta` = 1) or removes (-1) one configuration's subset demand.
+void add_demand(SubsetDemand& d, const SubsetDemand& config, int delta) {
+  for (std::size_t subset = 0; subset < d.size(); ++subset) d[subset] += delta * config[subset];
+}
+
+/// One tile's slots per component subset.
+SubsetDemand subset_slots(const PlbArchitecture& arch) {
+  SubsetDemand slots{};
+  for (unsigned subset = 0; subset < slots.size(); ++subset)
+    for (int c = 0; c < core::kNumPlbComponents; ++c)
+      if (subset & (1u << c)) slots[subset] += arch.component_count[static_cast<std::size_t>(c)];
+  return slots;
+}
 
 /// Hall-condition feasibility of a demand multiset against `tiles` copies of
 /// the architecture's slots (necessary aggregate condition used to balance
-/// quadrants; per-tile grouping is enforced later by the tile-state table).
-bool hall_feasible(const PlbArchitecture& arch, int tiles, const DemandTally& demand) {
-  for (unsigned subset = 0; subset < (1u << core::kNumPlbComponents); ++subset) {
-    int cap = 0;
-    for (int c = 0; c < core::kNumPlbComponents; ++c)
-      if (subset & (1u << c)) cap += tiles * arch.component_count[static_cast<std::size_t>(c)];
-    int need = 0;
-    for (unsigned mask = 0; mask < demand.size(); ++mask)
-      if ((mask & ~subset) == 0) need += demand[mask];
-    if (need > cap) return false;
-  }
+/// quadrants; per-tile grouping is enforced later by the tile-state table):
+/// every component subset's demand fits that subset's slots.
+bool hall_feasible(const SubsetDemand& slots, int tiles, const SubsetDemand& demand) {
+  for (unsigned subset = 0; subset < demand.size(); ++subset)
+    if (demand[subset] > tiles * slots[subset]) return false;
   return true;
-}
-
-/// Adds (`delta` = 1) or removes (-1) one configuration's needs.
-void add_demand(DemandTally& d, const core::ConfigSpec& spec, int delta) {
-  for (auto cls : spec.needs) d[cls] += delta;
 }
 
 }  // namespace
@@ -145,8 +157,11 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
   const auto& specs = core::config_specs();
   const auto groups = build_groups(nl, arch, table);
   obs::count("pack.groups", static_cast<long long>(groups.size()));
-  auto spec_of = [&](std::size_t gi) -> const core::ConfigSpec& {
-    return specs[static_cast<std::size_t>(groups[gi].kind)];
+  const SubsetDemand slots = subset_slots(arch);
+  std::array<SubsetDemand, core::kNumConfigKinds> kind_demand{};
+  for (std::size_t k = 0; k < kind_demand.size(); ++k) kind_demand[k] = subset_demand(specs[k]);
+  auto demand_of = [&](std::size_t gi) -> const SubsetDemand& {
+    return kind_demand[static_cast<std::size_t>(groups[gi].kind)];
   };
 
   int first_fit_tiles = 0;
@@ -157,17 +172,22 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
   int target_tiles = std::max(
       1, static_cast<int>(std::ceil(static_cast<double>(first_fit_tiles) * opts.initial_margin)));
 
-  auto group_criticality = [&](const Group& g) {
-    if (opts.criticality.empty()) return 0.0;
-    double c = 0.0;
-    for (auto v : g.members) c = std::max(c, opts.criticality[v]);
-    return c;
-  };
+  // A group's criticality is its most critical member's; the spill and
+  // relocation sorts compare these.
+  std::vector<double> group_criticality(groups.size(), 0.0);
+  if (!opts.criticality.empty())
+    for (std::size_t gi = 0; gi < groups.size(); ++gi)
+      for (auto v : groups[gi].members)
+        group_criticality[gi] = std::max(group_criticality[gi], opts.criticality[v]);
 
   // Scratch reused across grow attempts: the grid dimensions change per
   // attempt but the heap capacity carries over.
   std::vector<TileStateTable::State> tiles;
   std::vector<int> tile_of;
+  struct TileXY {
+    int x, y;
+  };
+  std::vector<TileXY> placed_tile(groups.size());  // per group: its rep's tile
   for (;; target_tiles = std::max(target_tiles + 1,
                                   static_cast<int>(target_tiles * 1.06)),
           ++out.grow_attempts) {
@@ -180,12 +200,11 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     // Map placed coordinates onto the tile grid (group position = its rep's).
     const double sx = placed.width_um > 0 ? gw / placed.width_um : 1.0;
     const double sy = placed.height_um > 0 ? gh / placed.height_um : 1.0;
-    auto tile_x = [&](const Group& g) {
-      return std::clamp(static_cast<int>(placed.pos[g.rep].x * sx), 0, gw - 1);
-    };
-    auto tile_y = [&](const Group& g) {
-      return std::clamp(static_cast<int>(placed.pos[g.rep].y * sy), 0, gh - 1);
-    };
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+      const place::Point& at = placed.pos[groups[gi].rep];
+      placed_tile[gi] = {std::clamp(static_cast<int>(at.x * sx), 0, gw - 1),
+                         std::clamp(static_cast<int>(at.y * sy), 0, gh - 1)};
+    }
 
     // --- recursive quadrisection: region assignment balancing supply/demand.
     // Each region is a tile rectangle plus the groups currently assigned to
@@ -215,54 +234,52 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
           ++nq;
         }
       auto quadrant_of = [&](std::size_t gi) {
-        const int tx = tile_x(groups[gi]), ty = tile_y(groups[gi]);
+        const auto [tx, ty] = placed_tile[gi];
         for (int q = 0; q < nq; ++q)
           if (tx >= quad[q].x0 && tx < quad[q].x0 + quad[q].w && ty >= quad[q].y0 &&
               ty < quad[q].y0 + quad[q].h)
             return q;
         return 0;
       };
-      DemandTally demand[4]{};
+      SubsetDemand demand[4]{};
       for (auto gi : r.items) {
         const int q = quadrant_of(gi);
         quad[q].items.push_back(gi);
-        add_demand(demand[q], spec_of(gi), 1);
+        add_demand(demand[q], demand_of(gi), 1);
       }
       // Rebalance: spill least-critical groups from infeasible quadrants.
       for (int q = 0; q < nq; ++q) {
         auto& src = quad[q];
         std::sort(src.items.begin(), src.items.end(), [&](std::size_t a, std::size_t b) {
-          return group_criticality(groups[a]) > group_criticality(groups[b]);
+          return group_criticality[a] > group_criticality[b];
         });
         while (!src.items.empty() &&
-               !hall_feasible(arch, src.w * src.h, demand[q])) {
+               !hall_feasible(slots, src.w * src.h, demand[q])) {
           const auto gi = src.items.back();
           src.items.pop_back();
-          add_demand(demand[q], spec_of(gi), -1);
+          add_demand(demand[q], demand_of(gi), -1);
           // Receiver: the sibling with the most slack that stays feasible.
           int best = -1;
           int best_slack = -1;
           for (int q2 = 0; q2 < nq; ++q2) {
             if (q2 == q) continue;
             auto d2 = demand[q2];
-            add_demand(d2, spec_of(gi), 1);
-            if (!hall_feasible(arch, quad[q2].w * quad[q2].h, d2)) continue;
-            int cap = 0, used = 0;
-            for (int c = 0; c < core::kNumPlbComponents; ++c)
-              cap += quad[q2].w * quad[q2].h * arch.component_count[static_cast<std::size_t>(c)];
-            for (int count : d2) used += count;
-            if (cap - used > best_slack) {
-              best_slack = cap - used;
+            add_demand(d2, demand_of(gi), 1);
+            const int tiles = quad[q2].w * quad[q2].h;
+            if (!hall_feasible(slots, tiles, d2)) continue;
+            const int slack = tiles * slots.back() - d2.back();
+            if (slack > best_slack) {
+              best_slack = slack;
               best = q2;
             }
           }
           if (best < 0) {  // parent region too tight: keep and let spiral fix
             src.items.push_back(gi);
-            add_demand(demand[q], spec_of(gi), 1);
+            add_demand(demand[q], demand_of(gi), 1);
             break;
           }
           quad[best].items.push_back(gi);
-          add_demand(demand[best], spec_of(gi), 1);
+          add_demand(demand[best], demand_of(gi), 1);
         }
       }
       for (int q = 0; q < nq; ++q) self(self, std::move(quad[q]));
@@ -289,15 +306,23 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
     // completely free tile, so all macros claim tiles (leaf position, then
     // nearest-available spiral) before single configurations trickle in —
     // otherwise stranded macros force array growth.
+    //
+    // The spiral visits rings of growing Chebyshev radius around the group's
+    // placed tile, each ring's in-grid tiles in row-major order, until a
+    // ring lies wholly outside the grid.
     auto spiral_place = [&](std::size_t gi) {
-      const int cx = tile_x(groups[gi]), cy = tile_y(groups[gi]);
-      for (int radius = 0; radius < gw + gh; ++radius) {
-        for (int dy = -radius; dy <= radius; ++dy) {
-          for (int dx = -radius; dx <= radius; ++dx) {
-            if (std::max(std::abs(dx), std::abs(dy)) != radius) continue;
-            const int tx = cx + dx, ty = cy + dy;
-            if (tx < 0 || ty < 0 || tx >= gw || ty >= gh) continue;
-            if (try_place(gi, tx, ty)) return true;
+      const auto [cx, cy] = placed_tile[gi];
+      const int last_radius = std::max({cx, gw - 1 - cx, cy, gh - 1 - cy});
+      for (int radius = 0; radius <= last_radius; ++radius) {
+        const int x_lo = std::max(0, cx - radius), x_hi = std::min(gw - 1, cx + radius);
+        const int y_lo = std::max(0, cy - radius), y_hi = std::min(gh - 1, cy + radius);
+        for (int ty = y_lo; ty <= y_hi; ++ty) {
+          if (ty == cy - radius || ty == cy + radius) {  // top or bottom edge
+            for (int tx = x_lo; tx <= x_hi; ++tx)
+              if (try_place(gi, tx, ty)) return true;
+          } else {  // the left and right ends of a middle row
+            if (cx - radius >= 0 && try_place(gi, cx - radius, ty)) return true;
+            if (cx + radius < gw && try_place(gi, cx + radius, ty)) return true;
           }
         }
       }
@@ -318,7 +343,7 @@ PackedDesign pack(const Netlist& nl, const place::Placement& placed,
         std::sort(overflow.begin(), overflow.end(), [&](std::size_t a, std::size_t b) {
           if (groups[a].footprint != groups[b].footprint)
             return groups[a].footprint > groups[b].footprint;
-          return group_criticality(groups[a]) > group_criticality(groups[b]);
+          return group_criticality[a] > group_criticality[b];
         });
         obs::count("pack.spiral_relocations", static_cast<long long>(overflow.size()));
         for (auto gi : overflow)

@@ -5,12 +5,15 @@
 ///
 /// The algorithm follows the paper: recursive quadrisection assigns
 /// configuration nodes to array regions balancing resource supply against
-/// demand; within a region, nodes fill tiles under the architecture's exact
-/// tile-state table (core::TileStateTable); overflow relocates to "the nearest
-/// region of the chip that has unused resources available" (spiral search).
-/// The cost function minimizes perturbation of the ASIC-style placement and
-/// protects timing-critical nodes (they move last). The packer is run inside
-/// an iterative loop with placement refresh by the flow driver, mirroring the
+/// demand (a Hall check over component subsets, on demand tallies kept
+/// summed over subsets); within a region, nodes fill tiles under the
+/// architecture's exact tile-state table (core::TileStateTable); overflow
+/// relocates to "the nearest region of the chip that has unused resources
+/// available" (a spiral of growing rings around the placed tile, each ring in
+/// row-major order). The cost function minimizes perturbation of the
+/// ASIC-style placement and protects timing-critical nodes (they move last).
+/// The flow driver runs the packer inside a pack <-> STA loop: each round's
+/// criticality orders the next round's spills and relocations, mirroring the
 /// paper's packing <-> physical-synthesis loop.
 
 #include <vector>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/assert.hpp"
 #include "compact/compact.hpp"
@@ -20,19 +19,14 @@ bool is_placeable(const Netlist& nl, NodeId id) {
   return t == NodeType::kComb || t == NodeType::kDff;
 }
 
-/// Adjacency: for each node, its connected partners (fanins + fanouts),
-/// restricted to placeable/boundary nodes.
-std::vector<std::vector<std::uint32_t>> adjacency(const Netlist& nl) {
-  std::vector<std::vector<std::uint32_t>> adj(nl.num_nodes());
-  for (NodeId id : nl.all_nodes()) {
-    for (NodeId fi : nl.fanins(id)) {
-      if (!fi.valid()) continue;
-      adj[id.index()].push_back(fi.value());
-      adj[fi.index()].push_back(id.value());
-    }
-  }
-  return adj;
-}
+/// A sort item of the spreading pass: the coordinate a sweep orders by, next
+/// to its node, so comparisons read no positions.
+struct Keyed {
+  double key;
+  std::uint32_t id;
+};
+
+bool key_less(const Keyed& a, const Keyed& b) { return a.key < b.key; }
 
 }  // namespace
 
@@ -40,8 +34,10 @@ double asic_die_area(const Netlist& nl, double utilization, const library::CellL
   return compact::gate_area(nl, lib) / utilization;
 }
 
-Placement place(const Netlist& nl, const PlacerOptions& opts, const library::CellLibrary& lib) {
-  Placement p;
+Placer::Placer(const Netlist& nl, const PlacerOptions& opts, const library::CellLibrary& lib)
+    : seed_(opts.seed), sa_moves_per_node_(opts.sa_moves_per_node) {
+  const obs::Span span("place.median_sweeps");
+  Placement& p = spread_;
   p.pos.resize(nl.num_nodes());
   const double die_area = asic_die_area(nl, opts.utilization, lib);
   const double side = std::max(1.0, std::sqrt(die_area));
@@ -50,22 +46,23 @@ Placement place(const Netlist& nl, const PlacerOptions& opts, const library::Cel
 
   // Collect placeable nodes in creation order (generators construct buses in
   // spatial order, so this seeds good locality).
-  std::vector<NodeId> cells;
-  cells.reserve(nl.num_nodes());
+  cells_.reserve(nl.num_nodes());
   for (NodeId id : nl.all_nodes())
-    if (is_placeable(nl, id)) cells.push_back(id);
+    if (is_placeable(nl, id)) cells_.push_back(id.value());
 
   // Initial placement: boustrophedon row fill.
-  const std::size_t ncells = std::max<std::size_t>(1, cells.size());
-  const int cols = std::max(1, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(ncells)))));
-  const double pitch_x = side / cols;
-  const int rows = static_cast<int>(std::ceil(static_cast<double>(ncells) / cols));
-  const double pitch_y = side / std::max(1, rows);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  const std::size_t ncells = std::max<std::size_t>(1, cells_.size());
+  cols_ = std::max(1, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(ncells)))));
+  pitch_x_ = side / cols_;
+  rows_ = static_cast<int>(std::ceil(static_cast<double>(ncells) / cols_));
+  pitch_y_ = side / std::max(1, rows_);
+  const int rows = rows_, cols = cols_;
+  const double pitch_x = pitch_x_, pitch_y = pitch_y_;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
     const int r = static_cast<int>(i) / cols;
     int c = static_cast<int>(i) % cols;
     if (r % 2) c = cols - 1 - c;  // serpentine
-    p.pos[cells[i].index()] = {(c + 0.5) * pitch_x, (r + 0.5) * pitch_y};
+    p.pos[cells_[i]] = {(c + 0.5) * pitch_x, (r + 0.5) * pitch_y};
   }
 
   // Pin I/O on the periphery (inputs left edge, outputs right edge).
@@ -76,43 +73,78 @@ Placement place(const Netlist& nl, const PlacerOptions& opts, const library::Cel
   place_boundary(nl.inputs(), 0.0);
   place_boundary(nl.outputs(), side);
 
-  const auto adj = adjacency(nl);
+  // Adjacency: every node's partners (fanins + fanouts). Counting, then
+  // filling in the same pass order keeps each node's partner order.
+  const std::size_t n = nl.num_nodes();
+  adj_begin_.assign(n + 1, 0);
+  for (NodeId id : nl.all_nodes()) {
+    for (NodeId fi : nl.fanins(id)) {
+      if (!fi.valid()) continue;
+      ++adj_begin_[id.index() + 1];
+      ++adj_begin_[fi.index() + 1];
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) adj_begin_[v + 1] += adj_begin_[v];
+  adj_.resize(adj_begin_[n]);
+  std::vector<std::uint32_t> fill(adj_begin_.begin(), adj_begin_.end() - 1);
+  for (NodeId id : nl.all_nodes()) {
+    for (NodeId fi : nl.fanins(id)) {
+      if (!fi.valid()) continue;
+      adj_[fill[id.index()]++] = fi.value();
+      adj_[fill[fi.index()]++] = id.value();
+    }
+  }
 
   // Force-directed median sweeps: each cell moves to the mean of its
-  // neighbors, then a per-row spreading pass removes pile-ups.
-  std::optional<obs::Span> sweep_span(std::in_place, "place.median_sweeps");
-  std::vector<NodeId> order;  // per-sweep sort scratch, hoisted
+  // neighbors, then a per-row spreading pass removes pile-ups. The sorts
+  // order (coordinate, node) pairs by the coordinate alone, which is the
+  // comparison sequence of sorting the nodes by their positions.
+  std::vector<Keyed> order(cells_.size());  // per-sweep sort scratch, hoisted
   for (int sweep = 0; sweep < opts.median_sweeps; ++sweep) {
     obs::count("place.median_sweeps");
-    for (NodeId id : cells) {
-      const auto& nbrs = adj[id.index()];
-      if (nbrs.empty()) continue;
+    for (const std::uint32_t v : cells_) {
+      const std::uint32_t lo = adj_begin_[v], hi = adj_begin_[v + 1];
+      if (lo == hi) continue;
       double sx = 0.0, sy = 0.0;
-      for (auto v : nbrs) {
-        sx += p.pos[v].x;
-        sy += p.pos[v].y;
+      for (std::uint32_t k = lo; k < hi; ++k) {
+        sx += p.pos[adj_[k]].x;
+        sy += p.pos[adj_[k]].y;
       }
-      p.pos[id.index()] = {sx / static_cast<double>(nbrs.size()),
-                           sy / static_cast<double>(nbrs.size())};
+      p.pos[v] = {sx / static_cast<double>(hi - lo), sy / static_cast<double>(hi - lo)};
     }
     // Spreading: sort by y into rows, then by x within a row, and re-grid.
-    order.assign(cells.begin(), cells.end());
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      return p.pos[a.index()].y < p.pos[b.index()].y;
-    });
+    for (std::size_t i = 0; i < cells_.size(); ++i) order[i] = {p.pos[cells_[i]].y, cells_[i]};
+    std::sort(order.begin(), order.end(), key_less);
     for (int r = 0; r < rows; ++r) {
       const auto lo = static_cast<std::size_t>(r) * static_cast<std::size_t>(cols);
       const auto hi = std::min(order.size(), lo + static_cast<std::size_t>(cols));
       if (lo >= hi) break;
+      for (std::size_t i = lo; i < hi; ++i) order[i].key = p.pos[order[i].id].x;
       std::sort(order.begin() + static_cast<long>(lo), order.begin() + static_cast<long>(hi),
-                [&](NodeId a, NodeId b) { return p.pos[a.index()].x < p.pos[b.index()].x; });
+                key_less);
       for (std::size_t i = lo; i < hi; ++i)
-        p.pos[order[i].index()] = {(static_cast<double>(i - lo) + 0.5) * pitch_x,
-                                   (r + 0.5) * pitch_y};
+        p.pos[order[i].id] = {(static_cast<double>(i - lo) + 0.5) * pitch_x, (r + 0.5) * pitch_y};
     }
   }
 
-  sweep_span.reset();
+  // The slot grid the annealer moves cells on, from the final spreading pass.
+  node_of_slot_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), -1);
+  slot_of_node_.assign(n, -1);
+  std::vector<std::uint32_t> by_slot = cells_;
+  std::sort(by_slot.begin(), by_slot.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const auto& pa = p.pos[a];
+    const auto& pb = p.pos[b];
+    return pa.y != pb.y ? pa.y < pb.y : pa.x < pb.x;
+  });
+  for (std::size_t i = 0; i < by_slot.size(); ++i) {
+    node_of_slot_[i] = static_cast<std::int32_t>(by_slot[i]);
+    slot_of_node_[by_slot[i]] = static_cast<int>(i);
+    const int r = static_cast<int>(i) / cols, c = static_cast<int>(i) % cols;
+    p.pos[by_slot[i]] = {(c + 0.5) * pitch_x, (r + 0.5) * pitch_y};
+  }
+}
+
+Placement Placer::anneal(const std::vector<double>& criticality) const {
   const obs::Span anneal_span("place.anneal");
 
   // Simulated-annealing refinement on a slot grid with a shrinking move
@@ -120,41 +152,58 @@ Placement place(const Netlist& nl, const PlacerOptions& opts, const library::Cel
   // with the occupant of a slot within the window (or moves it to an empty
   // slot). Incremental cost uses the star model (sum of edge lengths), so a
   // move is O(degree of the two cells).
-  // Rebuild the slot assignment from the final spreading pass.
+  Placement p = spread_;
+  std::vector<std::int32_t> node_of_slot = node_of_slot_;
+  std::vector<int> slot_of_node = slot_of_node_;
+  const int rows = rows_, cols = cols_;
+  const double pitch_x = pitch_x_, pitch_y = pitch_y_;
   const int total_slots = rows * cols;
-  std::vector<std::int32_t> node_of_slot(static_cast<std::size_t>(total_slots), -1);
-  std::vector<int> slot_of_node(nl.num_nodes(), -1);
-  {
-    std::vector<NodeId> order = cells;
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      const auto& pa = p.pos[a.index()];
-      const auto& pb = p.pos[b.index()];
-      return pa.y != pb.y ? pa.y < pb.y : pa.x < pb.x;
-    });
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      node_of_slot[i] = static_cast<std::int32_t>(order[i].value());
-      slot_of_node[order[i].index()] = static_cast<int>(i);
-      const int r = static_cast<int>(i) / cols, c = static_cast<int>(i) % cols;
-      p.pos[order[i].index()] = {(c + 0.5) * pitch_x, (r + 0.5) * pitch_y};
-    }
-  }
   auto slot_center = [&](int slot) {
     return Point{(slot % cols + 0.5) * pitch_x, (slot / cols + 0.5) * pitch_y};
   };
-  auto node_weight = [&](std::uint32_t v) {
-    if (opts.criticality.empty()) return 1.0;
-    return 1.0 + 3.0 * opts.criticality[v];
+
+  // Edge weights max(w(v), w(u)), w = 1 + 3 * criticality, one per
+  // adjacency entry.
+  std::vector<double> weight(adj_.size(), 1.0);
+  if (!criticality.empty()) {
+    auto node_weight = [&](std::uint32_t v) { return 1.0 + 3.0 * criticality[v]; };
+    for (std::uint32_t v = 0; v + 1 < adj_begin_.size(); ++v)
+      for (std::uint32_t k = adj_begin_[v]; k < adj_begin_[v + 1]; ++k)
+        weight[k] = std::max(node_weight(v), node_weight(adj_[k]));
+  }
+
+  // A move sends cell a to `a_to` and the target slot's occupant b (if any)
+  // to a's slot. star_costs(v) walks v's partners once and sums v's star cost
+  // before and after the move in two accumulators, each adding its terms in
+  // partner order, as two whole-star sums would.
+  struct Move {
+    std::uint32_t a;
+    Point a_to;
+    std::int32_t b;
+    Point b_to;
   };
-  auto star_cost = [&](std::uint32_t v) {
-    double c = 0.0;
-    const auto& pp = p.pos[v];
-    for (auto u : adj[v])
-      c += (std::abs(pp.x - p.pos[u].x) + std::abs(pp.y - p.pos[u].y)) *
-           std::max(node_weight(v), node_weight(u));
+  struct StarCosts {
+    double before = 0.0;
+    double after = 0.0;
+  };
+  auto star_costs = [&](std::uint32_t v, const Move& m) {
+    StarCosts c;
+    const Point from = p.pos[v];
+    const Point to = v == m.a ? m.a_to : m.b_to;
+    for (std::uint32_t k = adj_begin_[v]; k < adj_begin_[v + 1]; ++k) {
+      const std::uint32_t u = adj_[k];
+      const Point u_from = p.pos[u];
+      const Point u_to = u == m.a                              ? m.a_to
+                         : static_cast<std::int32_t>(u) == m.b ? m.b_to
+                                                               : u_from;
+      c.before += (std::abs(from.x - u_from.x) + std::abs(from.y - u_from.y)) * weight[k];
+      c.after += (std::abs(to.x - u_to.x) + std::abs(to.y - u_to.y)) * weight[k];
+    }
     return c;
   };
-  common::Rng rng(opts.seed);
-  const std::size_t moves = cells.size() * static_cast<std::size_t>(opts.sa_moves_per_node);
+
+  common::Rng rng(seed_);
+  const std::size_t moves = cells_.size() * static_cast<std::size_t>(sa_moves_per_node_);
   double temperature = pitch_x * 1.5;
   const double cooling = moves > 0 ? std::pow(0.02, 1.0 / static_cast<double>(moves)) : 1.0;
   double window = std::max(rows, cols) / 2.0;
@@ -163,7 +212,7 @@ Placement place(const Netlist& nl, const PlacerOptions& opts, const library::Cel
   long long sa_attempted = 0, sa_accepted = 0;  // counted once after the loop
   for (std::size_t mv = 0; mv < moves; ++mv, temperature *= cooling, window *= window_cooling) {
     ++sa_attempted;
-    const std::uint32_t a = cells[rng.next_below(cells.size())].value();
+    const std::uint32_t a = cells_[rng.next_below(cells_.size())];
     const int sa_slot = slot_of_node[a];
     const int w = std::max(1, static_cast<int>(window));
     const int r0 = sa_slot / cols, c0 = sa_slot % cols;
@@ -172,27 +221,28 @@ Placement place(const Netlist& nl, const PlacerOptions& opts, const library::Cel
     const int target = r1 * cols + c1;
     if (target == sa_slot || target >= total_slots) continue;
     const std::int32_t b = node_of_slot[static_cast<std::size_t>(target)];
-    const double before = star_cost(a) + (b >= 0 ? star_cost(static_cast<std::uint32_t>(b)) : 0.0);
-    const Point pa = p.pos[a];
-    p.pos[a] = slot_center(target);
-    if (b >= 0) p.pos[static_cast<std::uint32_t>(b)] = pa;
-    const double after = star_cost(a) + (b >= 0 ? star_cost(static_cast<std::uint32_t>(b)) : 0.0);
-    const double delta = after - before;
+    const Move m{a, slot_center(target), b, p.pos[a]};
+    const StarCosts ca = star_costs(a, m);
+    const StarCosts cb = b >= 0 ? star_costs(static_cast<std::uint32_t>(b), m) : StarCosts{};
+    const double delta = (ca.after + cb.after) - (ca.before + cb.before);
     if (delta <= 0.0 || rng.next_double() < std::exp(-delta / std::max(1e-9, temperature))) {
-      // accept: commit slot bookkeeping
+      // accept: commit positions and slot bookkeeping
       ++sa_accepted;
+      p.pos[a] = m.a_to;
+      if (b >= 0) p.pos[static_cast<std::uint32_t>(b)] = m.b_to;
       node_of_slot[static_cast<std::size_t>(sa_slot)] = b;
       node_of_slot[static_cast<std::size_t>(target)] = static_cast<std::int32_t>(a);
       slot_of_node[a] = target;
       if (b >= 0) slot_of_node[static_cast<std::size_t>(b)] = sa_slot;
-    } else {
-      p.pos[a] = pa;
-      if (b >= 0) p.pos[static_cast<std::uint32_t>(b)] = slot_center(target);
     }
   }
   obs::count("place.sa_moves", sa_attempted);
   obs::count("place.sa_accepted", sa_accepted);
   return p;
+}
+
+Placement place(const Netlist& nl, const PlacerOptions& opts, const library::CellLibrary& lib) {
+  return Placer(nl, opts, lib).anneal(opts.criticality);
 }
 
 double total_hpwl(const Netlist& nl, const Placement& p) {

@@ -22,6 +22,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/memtrack.hpp"
+#include "place/placement.hpp"
 #include "synth/mapper.hpp"
 #include "verify/cec.hpp"
 #include "witness_helpers.hpp"
@@ -509,6 +510,33 @@ TEST(FlowObs, OneSubjectServesTheMapAndEveryPricingRound) {
   const auto cuts = static_cast<long long>(built.cuts().total_cuts());
   EXPECT_EQ(rep.obs.counter("map.cuts_enumerated"), cuts);
   EXPECT_EQ(rep.obs.counter("map.match_attempts"), 4 * cuts);
+}
+
+TEST(FlowObs, PlacementSpreadsOnceAndAnnealsTwice) {
+  // The flow builds one Placer: a single spread (its median sweeps) inside
+  // stage.place, then the uniform and the timing-driven anneal from it. Flow
+  // b times the placement and every pack round but the last, flow a the
+  // placement; both time the routed result once more.
+  flow::FlowOptions opts;
+  opts.trace = true;
+  opts.metrics = true;
+  for (const char which : {'a', 'b'}) {
+    const auto rep =
+        flow::run_flow(small_design(), core::PlbArchitecture::granular(), which, opts);
+    EXPECT_EQ(rep.obs.span_count("place.median_sweeps"), 1) << which;
+    EXPECT_EQ(rep.obs.span_count("place.anneal"), 2) << which;
+    EXPECT_EQ(rep.obs.counter("place.median_sweeps"), place::PlacerOptions{}.median_sweeps)
+        << which;
+    const auto stage = std::find_if(rep.obs.spans.begin(), rep.obs.spans.end(),
+                                    [](const SpanRecord& s) { return s.name == "stage.place"; });
+    ASSERT_NE(stage, rep.obs.spans.end()) << which;
+    for (const SpanRecord& s : rep.obs.spans) {
+      if (s.name != "place.median_sweeps" && s.name != "place.anneal") continue;
+      EXPECT_TRUE(child_of(s, *stage)) << which << ": " << s.name;
+    }
+    const int pack_rounds = which == 'b' ? opts.pack_timing_iterations : 0;
+    EXPECT_EQ(rep.obs.counter("sta.analyses"), 2 + std::max(0, pack_rounds - 1)) << which;
+  }
 }
 
 TEST(FlowObs, DisabledRunCarriesNoObservability) {

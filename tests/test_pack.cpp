@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "compact/compact.hpp"
 #include "designs/designs.hpp"
+#include "obs/obs.hpp"
 #include "synth/mapper.hpp"
+#include "timing/sta.hpp"
 
 namespace vpga::pack {
 namespace {
@@ -206,6 +212,118 @@ TEST(Pack, FirstFitMatchesProbeLoopReference) {
       EXPECT_EQ(tiles, reference_first_fit(nl, arch)) << arch.name;
     }
   }
+}
+
+std::uint64_t fnv1a(const std::vector<int>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int v : values) {
+    hash ^= static_cast<std::uint32_t>(v);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+/// What a pack() call decides, down to the bits of its displacement sums.
+struct PackOutcome {
+  std::uint64_t tile_digest = 0;  ///< FNV-1a of tile_of_node
+  int plbs_used = 0;
+  int grow_attempts = 0;
+  long long spiral_relocations = 0;
+  std::uint64_t total_displacement_bits = 0;
+  std::uint64_t max_displacement_bits = 0;
+  bool operator==(const PackOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PackOutcome& o) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "{0x%016llxULL, %d, %d, %lld, 0x%016llxULL, 0x%016llxULL}",
+                static_cast<unsigned long long>(o.tile_digest), o.plbs_used, o.grow_attempts,
+                o.spiral_relocations, static_cast<unsigned long long>(o.total_displacement_bits),
+                static_cast<unsigned long long>(o.max_displacement_bits));
+  return os << buf;
+}
+
+PackOutcome pack_outcome(const Prepared& p, const PlbArchitecture& arch, const PackOptions& o,
+                         PackedDesign* packed = nullptr) {
+  obs::ObsContext ctx(/*trace=*/false, /*metrics=*/true);
+  PackedDesign d;
+  {
+    const obs::ScopedObs bind(&ctx);
+    d = pack(p.nl, p.placed, arch, o);
+  }
+  PackOutcome out{fnv1a(d.tile_of_node),
+                  d.plbs_used,
+                  d.grow_attempts,
+                  ctx.metrics().counter("pack.spiral_relocations"),
+                  bits_of(d.total_displacement_um),
+                  bits_of(d.max_displacement_um)};
+  if (packed != nullptr) *packed = std::move(d);
+  return out;
+}
+
+// Packing decisions of the quadrisection, the fill and the spiral, pinned
+// per design x PLB, without criticality and then with the STA criticality
+// of that first packing (flow b's pack <-> STA loop). The last case starts
+// below the first-fit count, so a spiral fails and the array regrows.
+TEST(Pack, PackResultsPinned) {
+  const std::vector<designs::BenchmarkDesign> suite = {
+      designs::make_alu(8), designs::make_firewire(4, 8), designs::make_fpu(4, 6),
+      designs::make_network_switch(4, 8)};
+  // {tile digest, plbs_used, grow_attempts, pack.spiral_relocations,
+  //  total and max displacement bits}
+  const PackOutcome kPinned[] = {
+      // alu(8): granular, granular + STA criticality, LUT, LUT + STA criticality
+      {0x1f6d145151619578ULL, 64, 0, 20, 0x40964acd1c9aa241ULL, 0x404322aef0b71a6eULL},
+      {0xfb5b5267276dd883ULL, 64, 0, 20, 0x4096292c53fccf6bULL, 0x4041d1bc33227706ULL},
+      {0xae08e6d8ced6e4adULL, 144, 0, 53, 0x40b034733b5f4da4ULL, 0x4055b1dcc76894cbULL},
+      {0x36155f44cff4262bULL, 144, 0, 62, 0x40b286c2f60290b9ULL, 0x405a15eab4bf31caULL},
+      // firewire(4, 8), in the same order
+      {0x40716cc64e735e7dULL, 182, 0, 8, 0x40b3626be6814edbULL, 0x405adf22d7be7f44ULL},
+      {0xd93421604cc7c598ULL, 182, 0, 11, 0x40acb987d3b4aa06ULL, 0x406176aacbdc737bULL},
+      {0x0186be61666f262fULL, 182, 0, 51, 0x40b27e9b570dde26ULL, 0x4059231e8a222432ULL},
+      {0x713b871f93b4a1faULL, 182, 0, 30, 0x40ac97cf0e0b60d3ULL, 0x40627e790c9a83acULL},
+      // fpu(4, 6)
+      {0x661d3ab9c43b0eefULL, 132, 0, 44, 0x40a62dca2aafa350ULL, 0x405330395e8f6243ULL},
+      {0x8db8ffe1bf69de9dULL, 132, 0, 33, 0x40aa7e6188b54456ULL, 0x405d73fcdc2f0cfaULL},
+      {0x8b328c899710fba3ULL, 196, 0, 65, 0x40b43e135de577d9ULL, 0x405d92610419c4e0ULL},
+      {0xa8a176510525c08bULL, 196, 0, 68, 0x40b6213070330b60ULL, 0x405c88f5ec4b6affULL},
+      // network_switch(4, 8)
+      {0x3fbbb926026882edULL, 400, 0, 297, 0x40d4dc6b073f47f3ULL, 0x406bd496b5a38c4cULL},
+      {0x071527d708c365daULL, 400, 0, 297, 0x40d4ab169e659e85ULL, 0x40677314990df879ULL},
+      {0x5145b5b8e58056b5ULL, 650, 0, 533, 0x40e00bad3f2b63b0ULL, 0x406fa1a7a4d6e85fULL},
+      {0x5699b92a404b3c92ULL, 650, 0, 532, 0x40de05c9e0ab1a33ULL, 0x406ab2f65778fec3ULL},
+      // alu(8), granular, initial_margin 0.8: three regrows
+      {0xf42f41859b0143baULL, 56, 3, 182, 0x409e479447a68048ULL, 0x405273bfcb9612deULL},
+  };
+  std::vector<PackOutcome> seen;
+  for (const auto& design : suite) {
+    for (const auto& arch : {PlbArchitecture::granular(), PlbArchitecture::lut_based()}) {
+      const auto p = prepare(design.netlist, arch);
+      PackedDesign first;
+      seen.push_back(pack_outcome(p, arch, {}, &first));
+      timing::StaOptions sta;
+      sta.clock_period_ps = design.clock_period_ps;
+      PackOptions timed;
+      timed.criticality = timing::analyze(p.nl, first.legal, sta).criticality;
+      seen.push_back(pack_outcome(p, arch, timed));
+    }
+  }
+  {
+    const auto arch = PlbArchitecture::granular();
+    const auto p = prepare(suite[0].netlist, arch);
+    PackOptions tight;
+    tight.initial_margin = 0.8;
+    seen.push_back(pack_outcome(p, arch, tight));
+    EXPECT_GT(seen.back().grow_attempts, 0);
+  }
+  ASSERT_EQ(seen.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], kPinned[i]) << "case " << i;
 }
 
 TEST(PackDeathTest, UnhostableConfigurationAbortsLoudly) {
