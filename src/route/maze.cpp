@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -17,11 +18,6 @@ std::int64_t edge_cost(int usage, int capacity) {
 }
 
 constexpr std::uint64_t kNoKey = std::numeric_limits<std::uint64_t>::max();
-
-/// Radix-heap bucket of `key` relative to the last popped key.
-std::size_t bucket_of(std::uint64_t key, std::uint64_t last) {
-  return key == last ? 0 : static_cast<std::size_t>(64 - std::countl_zero(key ^ last));
-}
 
 /// dist[i] = summed cost of the cuts between position i and `target` of
 /// positions 0..n−1, where cut k, of cost cut_cost(k), separates positions k
@@ -71,6 +67,7 @@ int UsageGrid::add_h_edge(int x, int y, int delta) {
   int& u = horiz_[h_index(x, y)];
   const int before = u;
   u += delta;
+  usage_bound_ = std::max(usage_bound_, u);
   Cut& cut = col_cuts_[static_cast<std::size_t>(x)];
   if (!update(cut, before, u))
     cut = scan(horiz_, h_index(x, 0), h_, static_cast<std::size_t>(w_ - 1));
@@ -81,46 +78,89 @@ int UsageGrid::add_v_edge(int x, int y, int delta) {
   int& u = vert_[v_index(x, y)];
   const int before = u;
   u += delta;
+  usage_bound_ = std::max(usage_bound_, u);
   Cut& cut = row_cuts_[static_cast<std::size_t>(y)];
   if (!update(cut, before, u)) cut = scan(vert_, v_index(0, y), w_, 1);
   return u;
 }
 
 void MazeSearch::push(std::uint64_t f, int node) {
-  const std::size_t b = bucket_of(f, last_);
-  buckets_[b].emplace_back(f, node);
-  bucket_min_[b] = std::min(bucket_min_[b], f);
+  const std::size_t b = f & (ring_.size() - 1);
+  std::uint64_t& word = occupied_[b >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+  Node& n = nodes_[static_cast<std::size_t>(node)];
+  n.prev = -1;
+  if (word & bit) {
+    n.next = ring_[b];
+    nodes_[static_cast<std::size_t>(n.next)].prev = node;
+  } else {
+    n.next = -1;
+    word |= bit;
+  }
+  ring_[b] = node;
   ++queued_;
 }
 
-MazeSearch::Entry MazeSearch::pop() {
-  if (buckets_[0].empty()) {
-    // The least key of the lowest non-empty bucket becomes the reference;
-    // every entry of that bucket then falls into a strictly lower one.
-    std::size_t b = 1;
-    while (buckets_[b].empty()) ++b;
-    last_ = bucket_min_[b];
-    for (const Entry& e : buckets_[b]) {
-      const std::size_t to = bucket_of(e.first, last_);
-      buckets_[to].push_back(e);
-      bucket_min_[to] = std::min(bucket_min_[to], e.first);
-    }
-    buckets_[b].clear();
-    bucket_min_[b] = kNoKey;
+void MazeSearch::unlink(std::uint64_t f, int node) {
+  const Node& n = nodes_[static_cast<std::size_t>(node)];
+  if (n.prev >= 0) {
+    nodes_[static_cast<std::size_t>(n.prev)].next = n.next;
+  } else {
+    const std::size_t b = f & (ring_.size() - 1);
+    ring_[b] = n.next;
+    if (n.next < 0) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   }
-  const Entry e = buckets_[0].back();
-  buckets_[0].pop_back();
+  if (n.next >= 0) nodes_[static_cast<std::size_t>(n.next)].prev = n.prev;
   --queued_;
-  return e;
+}
+
+int MazeSearch::pop() {
+  // The first occupied bucket at or after the cursor, cyclically: every
+  // queued key lies within one turn of the ring from the cursor.
+  const std::size_t mask = ring_.size() - 1;
+  const std::size_t from = cursor_ & mask;
+  std::size_t word = from >> 6;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    word = (word + 1) & (occupied_.size() - 1);
+    bits = occupied_[word];
+  }
+  const std::size_t b = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  cursor_ += (b - from) & mask;
+  const int node = ring_[b];
+  unlink(cursor_, node);
+  return node;
 }
 
 int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
   const int w = g.w(), h = g.h();
   const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
   if (nodes_.size() < n) nodes_.resize(n);
+  if (coords_w_ != w || coords_.size() < n) {
+    coords_.resize(n);
+    for (int y = 0, v = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) coords_[static_cast<std::size_t>(v++)] = Coord{x, y};
+    coords_w_ = w;
+  }
   if (++epoch_ == 0) {  // stamps wrapped: forget them all
-    for (Node& s : nodes_) s.seen = s.settled = 0;
+    for (Node& s : nodes_) s.seen = 0;
     epoch_ = 1;
+  }
+
+  // No edge costs more than c_max. The sink's cost f* is at most that of an
+  // L path, (|dx| + |dy|)·c_max, and no key ever queued exceeds f* + 2·c_max,
+  // so every g fits in 32 bits.
+  const std::int64_t c_max = edge_cost(g.usage_bound(), capacity);
+  const Coord from = coords_[static_cast<std::size_t>(src)];
+  const Coord to = coords_[static_cast<std::size_t>(dst)];
+  VPGA_ASSERT((std::abs(from.x - to.x) + std::abs(from.y - to.y) + 2) * c_max <=
+              std::numeric_limits<std::uint32_t>::max());
+  // More than 2·c_max + 1 buckets, and at least one bitmap word of them.
+  const std::size_t buckets =
+      std::max<std::size_t>(64, std::bit_ceil(static_cast<std::size_t>(2 * c_max + 2)));
+  if (ring_.size() < buckets) {  // grows only between searches, while empty
+    ring_.assign(buckets, -1);
+    occupied_.assign(buckets / 64, 0);
   }
 
   // Heuristic: any path to the sink crosses every column cut and every row
@@ -130,45 +170,51 @@ int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
   cut_distances(w, dst % w, [&](int x) { return edge_cost(g.col_cut_min(x), capacity); }, h_col_);
   cut_distances(h, dst / w, [&](int y) { return edge_cost(g.row_cut_min(y), capacity); }, h_row_);
 
-  for (auto& b : buckets_) b.clear();
-  bucket_min_.fill(kNoKey);
-  last_ = 0;
-  queued_ = 0;
   nodes_[static_cast<std::size_t>(src)].g = 0;
   nodes_[static_cast<std::size_t>(src)].seen = epoch_;
-  push(static_cast<std::uint64_t>(h_col_[static_cast<std::size_t>(src % w)] +
-                                  h_row_[static_cast<std::size_t>(src / w)]),
-       src);
+  cursor_ = static_cast<std::uint64_t>(h_col_[static_cast<std::size_t>(from.x)] +
+                                        h_row_[static_cast<std::size_t>(from.y)]);
+  push(cursor_, src);
   // Settle every node with f <= f*, not just up to the sink's pop: the
   // walk-back needs the exact g of every tight neighbour of the path, and
   // each of those lies on a shortest path to the sink, so its f <= f*.
   std::uint64_t f_star = kNoKey;
   while (queued_ > 0) {
-    const auto [f, v] = pop();
-    if (f > f_star) break;
-    Node& nv = nodes_[static_cast<std::size_t>(v)];
-    if (nv.settled == epoch_) continue;  // superseded entry
-    nv.settled = epoch_;
+    const int v = pop();
+    if (cursor_ > f_star) break;
     ++expansions_;
-    if (v == dst) f_star = f;
-    const std::int64_t gv = nv.g;
-    const auto relax = [&](int nx, int ny, int usage) {
-      const int u = g.node(nx, ny);
+    if (v == dst) f_star = cursor_;
+    const std::uint32_t gv = nodes_[static_cast<std::size_t>(v)].g;
+    // A settled neighbour needs no test: its g is exact, so by the triangle
+    // inequality it never exceeds gv + c and the relax leaves it alone.
+    const auto relax = [&](int u, int usage, std::int64_t hu) {
       Node& nu = nodes_[static_cast<std::size_t>(u)];
-      if (nu.settled == epoch_) return;
-      const std::int64_t ng = gv + edge_cost(usage, capacity);
-      if (nu.seen == epoch_ && ng >= nu.g) return;
+      const auto ng = gv + static_cast<std::uint32_t>(edge_cost(usage, capacity));
+      if (nu.seen == epoch_) {
+        if (ng >= nu.g) return;
+        // Decrease-key: the node leaves its old key's bucket for the new one.
+        unlink(static_cast<std::uint64_t>(nu.g + hu), u);
+      } else {
+        nu.seen = epoch_;
+      }
       nu.g = ng;
-      nu.seen = epoch_;
-      push(static_cast<std::uint64_t>(ng + h_col_[static_cast<std::size_t>(nx)] +
-                                      h_row_[static_cast<std::size_t>(ny)]),
-           u);
+      push(static_cast<std::uint64_t>(ng + hu), u);
     };
-    const int x = v % w, y = v / w;
-    if (x + 1 < w) relax(x + 1, y, g.h_edge(x, y));
-    if (x > 0) relax(x - 1, y, g.h_edge(x - 1, y));
-    if (y + 1 < h) relax(x, y + 1, g.v_edge(x, y));
-    if (y > 0) relax(x, y - 1, g.v_edge(x, y - 1));
+    const auto [x, y] = coords_[static_cast<std::size_t>(v)];
+    const std::int64_t hx = h_col_[static_cast<std::size_t>(x)];
+    const std::int64_t hy = h_row_[static_cast<std::size_t>(y)];
+    if (x + 1 < w) relax(v + 1, g.h_edge(x, y), h_col_[static_cast<std::size_t>(x) + 1] + hy);
+    if (x > 0) relax(v - 1, g.h_edge(x - 1, y), h_col_[static_cast<std::size_t>(x) - 1] + hy);
+    if (y + 1 < h) relax(v + w, g.v_edge(x, y), hx + h_row_[static_cast<std::size_t>(y) + 1]);
+    if (y > 0) relax(v - w, g.v_edge(x, y - 1), hx + h_row_[static_cast<std::size_t>(y) - 1]);
+  }
+  // Empty the ring for the next search: the keys still queued lie in
+  // [cursor_, cursor_ + 2·c_max], less than one turn of the ring.
+  if (queued_ > 0) {
+    const std::uint64_t last = cursor_ + 2 * static_cast<std::uint64_t>(c_max);
+    for (std::uint64_t k = cursor_ & ~std::uint64_t{63}; k <= last; k += 64)
+      occupied_[(k & (ring_.size() - 1)) >> 6] = 0;
+    queued_ = 0;
   }
 
   // Walk back through the tight neighbour (g[v] + c(v,u) == g[u]) of least

@@ -6,17 +6,17 @@
 /// overflows after orientation negotiation to `MazeSearch::route`: a
 /// least-cost path under the edge cost 1 + 4·over², where
 /// over = usage + 1 − capacity when positive. The search is A* over integer
-/// costs on a monotone radix heap. Its heuristic sums, over the column and
-/// row cuts between a node and the sink, the cost of each cut's least-used
-/// edge. It settles every node with f ≤ f* and walks back through the tight
-/// neighbour of least (g, index), so it returns exactly the path that a
-/// Dijkstra popping in (distance, node index) order and relaxing on a
-/// strict `<` records (docs/ALGORITHMS.md, "Routing & extraction").
+/// costs on Dial's bucket ring keyed by f = g + h, where a cheaper g moves a
+/// queued node to its new bucket (decrease-key) instead of queueing it again.
+/// Its heuristic sums, over the column and row cuts between a node and the
+/// sink, the cost of each cut's least-used edge. It settles exactly the
+/// nodes with f ≤ f*, whatever the order within a bucket, and walks back
+/// through the tight neighbour of least (g, index), so it returns exactly the
+/// path that a Dijkstra popping in (distance, node index) order and relaxing
+/// on a strict `<` records (docs/ALGORITHMS.md, "Routing & extraction").
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace vpga::route {
@@ -38,6 +38,9 @@ class UsageGrid {
   /// Add `delta` to an edge's usage and return the new usage.
   int add_h_edge(int x, int y, int delta);
   int add_v_edge(int x, int y, int delta);
+
+  /// An upper bound on every edge's usage: the most any edge has carried.
+  [[nodiscard]] int usage_bound() const { return usage_bound_; }
 
   /// Least usage over column cut x and over row cut y.
   [[nodiscard]] int col_cut_min(int x) const { return col_cuts_[static_cast<std::size_t>(x)].min; }
@@ -67,15 +70,17 @@ class UsageGrid {
   static bool update(Cut& cut, int before, int after);
 
   int w_, h_;
+  int usage_bound_ = 0;
   std::vector<int> horiz_;  // (w-1) * h
   std::vector<int> vert_;   // w * (h-1)
   std::vector<Cut> col_cuts_;  // w-1
   std::vector<Cut> row_cuts_;  // h-1
 };
 
-/// Maze search whose scratch (an epoch-stamped node array and the radix
-/// heap's buckets) is reused by every call. One instance serves the
-/// connections of one route() call and is never shared between threads.
+/// Maze search whose scratch (an epoch-stamped node array, a coordinate
+/// table and the bucket ring) is reused by every call and allocated by the
+/// first. One instance serves the connections of one route() call and is
+/// never shared between threads.
 class MazeSearch {
  public:
   /// Routes node `src` to node `dst` of `g` at the least total cost, adds
@@ -89,23 +94,38 @@ class MazeSearch {
   [[nodiscard]] long long expansions() const { return expansions_; }
 
  private:
+  /// A node seen in this epoch is queued, in the list of the bucket of its
+  /// key g + h, until it is popped and settled. g fits 32 bits: route()
+  /// asserts a bound on every key it can queue.
   struct Node {
-    std::int64_t g = 0;         // cost from the source, valid when seen
-    std::uint32_t seen = 0;     // epoch in which g was last set
-    std::uint32_t settled = 0;  // epoch in which g became final
+    std::uint32_t g = 0;     // cost from the source, valid when seen
+    std::uint32_t seen = 0;  // epoch in which g was last set
+    std::int32_t next = -1;  // bucket list links while queued
+    std::int32_t prev = -1;  // -1 at the head of its bucket
   };
-  using Entry = std::pair<std::uint64_t, int>;  // (f = g + h, node)
+  static_assert(sizeof(Node) == 16);
+  struct Coord {
+    std::int32_t x, y;
+  };
 
   void push(std::uint64_t f, int node);
-  Entry pop();
+  /// Takes `node`, queued under key `f`, out of its bucket.
+  void unlink(std::uint64_t f, int node);
+  /// Pops a node of the least queued key and moves cursor_ to that key.
+  int pop();
 
   std::vector<Node> nodes_;
+  std::vector<Coord> coords_;  // (x, y) of every node of a coords_w_-wide grid
+  int coords_w_ = 0;
   std::uint32_t epoch_ = 0;
-  /// Radix heap: bucket b holds the keys whose highest bit differing from
-  /// last_ (the last key popped) is bit b − 1; bucket 0 holds keys == last_.
-  std::array<std::vector<Entry>, 65> buckets_;
-  std::array<std::uint64_t, 65> bucket_min_{};  // least key of each bucket
-  std::uint64_t last_ = 0;
+  /// Dial's bucket ring: ring_[f & (size − 1)] heads the list of the nodes
+  /// queued under key f, valid when its bit of occupied_ is set. With c_max
+  /// the cost of an edge at the grid's usage bound, every queued key lies in
+  /// [cursor_, cursor_ + 2·c_max] and the ring has more than 2·c_max + 1
+  /// buckets, so two different queued keys never share one.
+  std::vector<std::int32_t> ring_;
+  std::vector<std::uint64_t> occupied_;
+  std::uint64_t cursor_ = 0;  // key of the last pop, the least queued key
   std::size_t queued_ = 0;
   std::vector<std::int64_t> h_col_;  // heuristic share of each column
   std::vector<std::int64_t> h_row_;  // heuristic share of each row

@@ -909,19 +909,26 @@ TEST(Dataflow, RecoversLoopStructureWithNestingAndRangeExpr) {
       }
       do { --n; } while (n > 0);
       for (int v : vals) s += v;
+      for (int v : vals) for (int i = 0; i < n; ++i) { n += v; }
       return s;
     }
   )cpp");
   const auto* fn = find_fn(tu, "f");
   ASSERT_NE(fn, nullptr);
   const auto df = vpga::fabriclint::analyze_dataflow(tu, *fn);
-  ASSERT_EQ(df.loops.size(), 4u);
+  ASSERT_EQ(df.loops.size(), 6u);
   EXPECT_EQ(df.loops[0].depth, 0);   // for
   EXPECT_EQ(df.loops[1].depth, 1);   // nested while
   EXPECT_EQ(df.loops[2].depth, 0);   // do-while
   EXPECT_FALSE(df.loops[0].range_for);
   EXPECT_TRUE(df.loops[3].range_for);
   EXPECT_EQ(df.loops[3].range_expr, "vals");
+  // A brace-less body that is itself a loop ends where that loop's block
+  // ends, not at the next `;` (here the return statement's).
+  EXPECT_TRUE(df.loops[4].range_for);
+  EXPECT_EQ(df.loops[4].depth, 0);
+  EXPECT_EQ(df.loops[5].depth, 1);
+  EXPECT_EQ(df.loops[4].body_end, df.loops[5].body_end);
   // innermost_loop attributes a token inside the while to the while.
   const auto* inner = df.innermost_loop(df.loops[1].body_begin + 1);
   ASSERT_NE(inner, nullptr);
@@ -1303,6 +1310,20 @@ TEST(DetIterInvalidation, MutatingAnotherContainerIsClean) {
     void mirror(const std::vector<int>& xs, std::vector<int>& out) {
       out.reserve(xs.size());
       for (int x : xs) out.push_back(-x);
+    }
+    }
+  )cpp"}});
+  EXPECT_FALSE(has_rule(findings, "det.iter-invalidation"));
+}
+
+TEST(DetIterInvalidation, MutationAfterBracelessNestedLoopIsClean) {
+  const auto findings = run_project({{"src/x/x.cpp", R"cpp(
+    #include <vector>
+    namespace vpga {
+    int grow(std::vector<int>& vals, int n) {
+      for (int v : vals) for (int i = 0; i < n; ++i) { n += v; }
+      vals.push_back(n);
+      return n;
     }
     }
   )cpp"}});

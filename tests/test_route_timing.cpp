@@ -125,8 +125,10 @@ std::uint64_t fnv1a(const std::vector<int>& values) {
 }
 
 // At these capacities most connections fall through orientation negotiation
-// into maze repair, so the search decides the routes. The values were
-// recorded from the full-grid Dijkstra that the A* search replaced.
+// into maze repair, so the search decides the routes. The routes were
+// recorded from the full-grid Dijkstra that the A* search replaced, and the
+// settled-node counts from the A* on a radix heap that the bucket ring
+// replaced: the settled set does not depend on the queue's pop order.
 TEST(Route, MazeRepairResultsPinned) {
   {
     const auto p = prepare(designs::make_alu(8).netlist);
@@ -148,7 +150,7 @@ TEST(Route, MazeRepairResultsPinned) {
         2, 0, 0, 4, 3, 2, 3, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     };
     EXPECT_EQ(tile_counts(run.result), std::vector<int>(std::begin(kTiles), std::end(kTiles)));
-    EXPECT_GT(run.maze_expansions, 0);
+    EXPECT_EQ(run.maze_expansions, 2151);
     EXPECT_EQ(route_counted(p, 2).maze_expansions, run.maze_expansions);
   }
   {
@@ -165,7 +167,7 @@ TEST(Route, MazeRepairResultsPinned) {
     for (int t : tiles) sum += t;
     EXPECT_EQ(sum, 8601);
     EXPECT_EQ(fnv1a(tiles), 0x4932092064b64d78ULL);
-    EXPECT_GT(run.maze_expansions, 0);
+    EXPECT_EQ(run.maze_expansions, 48686);
     EXPECT_EQ(route_counted(p, 4).maze_expansions, run.maze_expansions);
   }
 }
@@ -192,12 +194,14 @@ TEST(Route, ConcurrentMazeRepairMatchesSerial) {
 }
 
 // Each cut's least usage must track arbitrary updates, including the rise
-// of its last least-used edge, which forces a rescan.
+// of its last least-used edge, which forces a rescan. The usage bound that
+// sizes the maze search's ring is the most any edge has carried.
 TEST(UsageGrid, CutMinimaFollowUpdates) {
   std::mt19937 rng(7);
   for (const auto& [w, h] :
        {std::pair{2, 2}, std::pair{2, 9}, std::pair{9, 2}, std::pair{13, 11}}) {
     route::UsageGrid g(w, h);
+    int most = 0;
     for (int step = 0; step < 4000; ++step) {
       const int delta = std::uniform_int_distribution<int>(-2, 3)(rng);
       if (rng() % 2 == 0) {
@@ -205,12 +209,15 @@ TEST(UsageGrid, CutMinimaFollowUpdates) {
         const int y = static_cast<int>(rng() % static_cast<unsigned>(h));
         const int now = g.add_h_edge(x, y, delta);
         EXPECT_EQ(now, g.h_edge(x, y));
+        most = std::max(most, now);
       } else {
         const int x = static_cast<int>(rng() % static_cast<unsigned>(w));
         const int y = static_cast<int>(rng() % static_cast<unsigned>(h - 1));
         const int now = g.add_v_edge(x, y, delta);
         EXPECT_EQ(now, g.v_edge(x, y));
+        most = std::max(most, now);
       }
+      ASSERT_EQ(g.usage_bound(), most) << "step " << step;
       for (int x = 0; x + 1 < w; ++x) {
         int least = g.h_edge(x, 0);
         for (int y = 1; y < h; ++y) least = std::min(least, g.h_edge(x, y));
@@ -298,18 +305,17 @@ int reference_maze_route(ReferenceGrid& g, const Conn& c, int capacity, std::vec
   return edges;
 }
 
-// Seeded random usage grids from 2x2 to 65x65 with usages below, at and far
-// above capacity. One MazeSearch serves every call, so its epoch-stamped
-// scratch is reused across grids of different sizes; after each call the
-// path and the whole usage grid must equal the reference's.
-TEST(Maze, MatchesReferenceDijkstra) {
+/// Seeded random usage grids from 2x2 to 65x65 with usages below, at and far
+/// above capacity, each with twelve connections: the four corner-to-corner
+/// ones, two with src == dst, two adjacent pairs and four random pairs.
+/// Calls visit(fast, ref, capacity, conn, trial) once per connection, on two
+/// copies of the same grid, and stops at the first fatal failure.
+template <typename Visit>
+void for_each_maze_case(Visit visit) {
   std::mt19937 rng(2004);
   const auto uniform = [&rng](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
   };
-  route::MazeSearch search;
-  int calls = 0;
-  long long expansions = 0;
   for (int trial = 0; trial < 48; ++trial) {
     const int w = trial == 0 ? 2 : trial == 1 ? 65 : uniform(2, 65);
     const int h = trial == 0 ? 2 : trial == 1 ? 65 : uniform(2, 65);
@@ -341,21 +347,109 @@ TEST(Maze, MatchesReferenceDijkstra) {
     }
     for (int k = 0; k < 4; ++k)
       conns.push_back({uniform(0, w - 1), uniform(0, h - 1), uniform(0, w - 1), uniform(0, h - 1)});
-
     for (const Conn& c : conns) {
-      std::vector<int> ref_path;
-      const int ref_edges = reference_maze_route(ref, c, capacity, ref_path);
-      const int edges = search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity);
-      ASSERT_EQ(edges, ref_edges) << "trial " << trial;
-      ASSERT_EQ(search.path(), ref_path) << "trial " << trial << " " << w << "x" << h
-                                         << " capacity " << capacity;
-      ASSERT_EQ(fast.horiz(), ref.horiz) << "trial " << trial;
-      ASSERT_EQ(fast.vert(), ref.vert) << "trial " << trial;
-      EXPECT_GT(search.expansions(), expansions);  // at least the source settles
-      expansions = search.expansions();
-      ++calls;
+      visit(fast, ref, capacity, c, trial);
+      if (::testing::Test::HasFatalFailure()) return;  // the grids may differ now
     }
   }
+}
+
+// One MazeSearch serves every call, so its epoch-stamped scratch is reused
+// across grids of different sizes; after each call the path and the whole
+// usage grid must equal the reference's.
+TEST(Maze, MatchesReferenceDijkstra) {
+  route::MazeSearch search;
+  int calls = 0;
+  long long expansions = 0;
+  for_each_maze_case([&](route::UsageGrid& fast, ReferenceGrid& ref, int capacity, const Conn& c,
+                         int trial) {
+    std::vector<int> ref_path;
+    const int ref_edges = reference_maze_route(ref, c, capacity, ref_path);
+    const int edges = search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity);
+    ASSERT_EQ(edges, ref_edges) << "trial " << trial;
+    ASSERT_EQ(search.path(), ref_path) << "trial " << trial << " " << fast.w() << "x" << fast.h()
+                                       << " capacity " << capacity;
+    ASSERT_EQ(fast.horiz(), ref.horiz) << "trial " << trial;
+    ASSERT_EQ(fast.vert(), ref.vert) << "trial " << trial;
+    EXPECT_GT(search.expansions(), expansions);  // at least the source settles
+    expansions = search.expansions();
+    ++calls;
+  });
+  EXPECT_EQ(calls, 48 * 12);
+}
+
+// The search settles exactly {v : dist(v) + h(v) <= f*}, where f* = dist(sink):
+// no more (it stops at the first key above f*) and no fewer (it does not stop
+// when the sink pops). dist comes from a full-grid Dijkstra and h from cut
+// minima found by brute force.
+TEST(Maze, SettlesExactlyTheNodesWithinFStar) {
+  route::MazeSearch search;
+  int calls = 0;
+  for_each_maze_case([&](route::UsageGrid& fast, ReferenceGrid& ref, int capacity, const Conn& c,
+                         int trial) {
+    const int w = ref.w, h = ref.h;
+    const auto cost = [capacity](int usage) -> std::int64_t {
+      const std::int64_t over = usage + 1 - capacity;
+      return over > 0 ? 1 + 4 * over * over : 1;
+    };
+    // Full-grid Dijkstra from the source.
+    constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+    std::vector<std::int64_t> dist(static_cast<std::size_t>(w) * h, kInf);
+    using Entry = std::pair<std::int64_t, int>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    dist[static_cast<std::size_t>(c.y0 * w + c.x0)] = 0;
+    heap.emplace(0, c.y0 * w + c.x0);
+    while (!heap.empty()) {
+      const auto [d, v] = heap.top();
+      heap.pop();
+      if (d > dist[static_cast<std::size_t>(v)]) continue;
+      const int x = v % w, y = v / w;
+      const int dx[4] = {1, -1, 0, 0}, dy[4] = {0, 0, 1, -1};
+      for (int k = 0; k < 4; ++k) {
+        const int nx = x + dx[k], ny = y + dy[k];
+        if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
+        const int usage =
+            dx[k] != 0 ? ref.h_edge(std::min(x, nx), y) : ref.v_edge(x, std::min(y, ny));
+        const std::int64_t nd = d + cost(usage);
+        if (nd < dist[static_cast<std::size_t>(ny * w + nx)]) {
+          dist[static_cast<std::size_t>(ny * w + nx)] = nd;
+          heap.emplace(nd, ny * w + nx);
+        }
+      }
+    }
+    // h(v): the cost of the least-used edge of every cut between v and the sink.
+    std::vector<std::int64_t> col_cut(static_cast<std::size_t>(w - 1));
+    std::vector<std::int64_t> row_cut(static_cast<std::size_t>(h - 1));
+    for (int x = 0; x + 1 < w; ++x) {
+      int least = ref.h_edge(x, 0);
+      for (int y = 1; y < h; ++y) least = std::min(least, ref.h_edge(x, y));
+      col_cut[static_cast<std::size_t>(x)] = cost(least);
+    }
+    for (int y = 0; y + 1 < h; ++y) {
+      int least = ref.v_edge(0, y);
+      for (int x = 1; x < w; ++x) least = std::min(least, ref.v_edge(x, y));
+      row_cut[static_cast<std::size_t>(y)] = cost(least);
+    }
+    const std::int64_t f_star = dist[static_cast<std::size_t>(c.y1 * w + c.x1)];
+    long long within = 0;
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        std::int64_t hv = 0;
+        for (int k = std::min(x, c.x1); k < std::max(x, c.x1); ++k)
+          hv += col_cut[static_cast<std::size_t>(k)];
+        for (int k = std::min(y, c.y1); k < std::max(y, c.y1); ++k)
+          hv += row_cut[static_cast<std::size_t>(k)];
+        within += dist[static_cast<std::size_t>(y * w + x)] + hv <= f_star ? 1 : 0;
+      }
+
+    const long long before = search.expansions();
+    search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity);
+    ASSERT_EQ(search.expansions() - before, within)
+        << "trial " << trial << " " << w << "x" << h << " capacity " << capacity;
+    std::vector<int> ref_path;
+    reference_maze_route(ref, c, capacity, ref_path);  // keeps both grids equal
+    ++calls;
+  });
   EXPECT_EQ(calls, 48 * 12);
 }
 

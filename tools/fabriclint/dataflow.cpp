@@ -241,30 +241,44 @@ class DataflowAnalyzer {
           ++df_.loops[a].depth;
   }
 
-  /// Fills body_begin/body_end from the token after the loop header: a `{`
-  /// block or a single statement up to its `;`.
+  /// Fills body_begin/body_end with the statement after the loop header.
   void body_range(LoopInfo& loop, std::size_t at) {
+    const std::size_t end = statement_end(at);
+    if (end == std::string::npos) return;
+    loop.body_begin = at;
+    loop.body_end = end;
+  }
+
+  /// One past the last token of the statement that starts at `at`, or npos:
+  /// a `{` block; a for, while, switch or if (with its else) statement,
+  /// which ends where its own body ends; otherwise up to the next `;`.
+  std::size_t statement_end(std::size_t at) const {
     const auto& t = toks();
-    if (at >= fn_.body_end) return;
+    if (at >= fn_.body_end) return std::string::npos;
     if (is_punct(t[at], "{")) {
       const std::size_t c = close_[at];
-      if (c == std::string::npos || c >= fn_.body_end) return;
-      loop.body_begin = at;
-      loop.body_end = c + 1;
-      return;
+      return c == std::string::npos || c >= fn_.body_end ? std::string::npos : c + 1;
+    }
+    const bool is_if = is_ident(t[at], "if");
+    if ((is_if || is_ident(t[at], "for") || is_ident(t[at], "while") ||
+         is_ident(t[at], "switch")) &&
+        at + 1 < fn_.body_end && is_punct(t[at + 1], "(")) {
+      const std::size_t c = close_[at + 1];
+      if (c == std::string::npos || c >= fn_.body_end) return std::string::npos;
+      const std::size_t end = statement_end(c + 1);
+      if (is_if && end < fn_.body_end && is_ident(t[end], "else")) return statement_end(end + 1);
+      return end;
     }
     std::size_t j = at;
     while (j < fn_.body_end && !is_punct(t[j], ";")) {
       if (is_punct(t[j], "(") || is_punct(t[j], "[") || is_punct(t[j], "{")) {
         const std::size_t c = close_[j];
-        if (c == std::string::npos || c >= fn_.body_end) return;
+        if (c == std::string::npos || c >= fn_.body_end) return std::string::npos;
         j = c;
       }
       ++j;
     }
-    if (j >= fn_.body_end) return;
-    loop.body_begin = at;
-    loop.body_end = j + 1;
+    return j < fn_.body_end ? j + 1 : std::string::npos;
   }
 
   /// Detects `for (decl : range)` and normalizes the range expression. With
