@@ -1,19 +1,22 @@
 // Machine-readable flow bench: runs the paper suite (Tables 1/2 structure —
 // four designs x {granular, LUT} x {flow a, flow b}) with tracing, metrics
-// and memory tracking enabled and emits BENCH_flow.json (schema
+// and memory tracking enabled and emits a BENCH_flow.json document (schema
 // vpga.flow_bench.v2) with per-stage wall-clock, every flow counter, and
 // per-stage memory columns (alloc_bytes / alloc_count / peak_live_bytes),
 // so tools/flowscope can chart stage cost and allocation behavior over time.
 //
-//   flow_bench_json [--out BENCH_flow.json]
+//   flow_bench_json [--out BENCH_flow_current.json]
+//
+// The default output name leaves the committed snapshot alone; refreshing it
+// is an explicit `--out BENCH_flow.json`.
 //
 // Doubles as the observability guard: exits nonzero if any expected stage
 // span is missing from any run, if a run does not build exactly one mapping
 // subject (one `map.subject` span, shared by the delay map and every
-// compaction pricing round) or exactly one placement spread (one
-// `place.median_sweeps` span, shared by both anneals), or if the emitted JSON
-// does not parse back (obs/json.hpp). VPGA_BENCH_SCALE shrinks the designs as
-// usual.
+// compaction pricing round, with one `map.aig` and one `map.cuts` span for
+// its two halves) or exactly one placement spread (one `place.median_sweeps`
+// span, shared by both anneals), or if the emitted JSON does not parse back
+// (obs/json.hpp). VPGA_BENCH_SCALE shrinks the designs as usual.
 //
 // v2 vs v1: adds the per-run "memory" object and moves the dynamic
 // "<span>.alloc_*" counter family there (counters stay exact-comparable
@@ -55,13 +58,14 @@ bool is_memory_counter(std::string_view name) {
 // Spans every flow must record exactly once: the stages (stage.pack repeats
 // per pack<->STA iteration in flow b and never appears in flow a),
 // map.subject, the one mapping subject that the delay map and every
-// compaction pricing round share, and place.median_sweeps, the one placement
-// spread that the uniform and the timing-driven anneal start from.
+// compaction pricing round share, with its two halves map.aig and map.cuts,
+// and place.median_sweeps, the one placement spread that the uniform and the
+// timing-driven anneal start from.
 const std::vector<std::string>& required_spans() {
   static const std::vector<std::string> spans = {
       "stage.verify", "stage.map",   "stage.compact", "stage.buffer",
       "stage.place",  "stage.route", "stage.sta",     "map.subject",
-      "place.median_sweeps"};
+      "map.aig",      "map.cuts",    "place.median_sweeps"};
   return spans;
 }
 
@@ -169,13 +173,13 @@ void append_run(std::string& out, const FlowReport& r, const std::string& design
 
 int main(int argc, char** argv) {
   using namespace vpga;
-  std::string out_path = "BENCH_flow.json";
+  std::string out_path = "BENCH_flow_current.json";
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--out BENCH_flow.json]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--out BENCH_flow_current.json]\n", argv[0]);
       return 2;
     }
   }

@@ -1,6 +1,7 @@
 #include "aig/aig.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 
@@ -19,6 +20,26 @@ Lit Aig::add_input() {
   return lit(idx, false);
 }
 
+std::size_t Aig::strash_slot(Lit a, Lit b) const {
+  // Fibonacci hashing: the top bits of the key times 2^64 / phi.
+  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> strash_shift_);
+}
+
+void Aig::grow_strash() {
+  std::size_t size = std::max<std::size_t>(64, 2 * strash_.size());
+  while (2 * (num_ands_ + 1) > size) size *= 2;
+  strash_.assign(size, 0);
+  strash_shift_ = static_cast<std::uint32_t>(64 - std::countr_zero(size));
+  const std::size_t mask = size - 1;
+  for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
+    if (!nodes_[i].is_and) continue;
+    std::size_t slot = strash_slot(nodes_[i].fanin0, nodes_[i].fanin1);
+    while (strash_[slot] != 0) slot = (slot + 1) & mask;
+    strash_[slot] = i;
+  }
+}
+
 Lit Aig::add_and(Lit a, Lit b) {
   // Trivial rules.
   if (a == kFalse || b == kFalse) return kFalse;
@@ -27,15 +48,23 @@ Lit Aig::add_and(Lit a, Lit b) {
   if (a == b) return a;
   if (a == negate(b)) return kFalse;
   if (a > b) std::swap(a, b);
-  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-  if (auto it = strash_.find(key); it != strash_.end()) return lit(it->second, false);
+  // Room for one more AND first, so a miss ends on the slot the new node
+  // takes. This also rebuilds a table released by drop_strash().
+  if (2 * (num_ands_ + 1) > strash_.size()) grow_strash();
+  const std::size_t mask = strash_.size() - 1;
+  std::size_t slot = strash_slot(a, b);
+  for (; strash_[slot] != 0; slot = (slot + 1) & mask) {
+    const Node& n = nodes_[strash_[slot]];
+    if (n.fanin0 == a && n.fanin1 == b) return lit(strash_[slot], false);
+  }
   Node n;
   n.is_and = true;
   n.fanin0 = a;
   n.fanin1 = b;
   nodes_.push_back(n);
   const auto idx = static_cast<std::uint32_t>(nodes_.size() - 1);
-  strash_.emplace(key, idx);
+  strash_[slot] = idx;
+  ++num_ands_;
   return lit(idx, false);
 }
 

@@ -9,11 +9,16 @@
 /// constant folding and trivial-node rules are applied on construction, which
 /// is where the "logic optimization" of the paper's Design Compiler stage
 /// happens in this reproduction.
+///
+/// The structural hash is a flat open-addressed table of node indices, not a
+/// node-based map: a lookup hashes the normalized (fanin0, fanin1) pair and
+/// probes slots until it meets the matching AND node or an empty slot. Hits
+/// and misses fall exactly as with any exact hash, so node numbering depends
+/// only on the sequence of add_* calls.
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/truth_table.hpp"
@@ -60,6 +65,9 @@ class Aig {
   Lit build_function(const logic::TruthTable& f, std::span<const Lit> leaves);
   /// Registers a combinational output.
   void add_output(Lit l) { outputs_.push_back(l); }
+  /// Frees the structural-hash table, for a graph that is complete. A later
+  /// add_and rebuilds it from the nodes, so hashing stays exact.
+  void drop_strash() { strash_ = std::vector<std::uint32_t>(); }
 
   /// --- access -----------------------------------------------------------------
 
@@ -83,10 +91,22 @@ class Aig {
   [[nodiscard]] std::vector<bool> eval(const std::vector<bool>& in) const;
 
  private:
+  /// The home slot of the AND (a, b), a < b.
+  [[nodiscard]] std::size_t strash_slot(Lit a, Lit b) const;
+  /// Doubles the table (at least to 64 slots and to room for one more AND)
+  /// and re-inserts every AND node in node order.
+  void grow_strash();
+
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> inputs_;
   std::vector<Lit> outputs_;
-  std::unordered_map<std::uint64_t, std::uint32_t> strash_;
+  /// Structural hash: an open-addressed, linearly probed table of AND node
+  /// indices (0 = empty slot; node 0 is the constant, never an AND), keyed by
+  /// the node's (fanin0, fanin1) as stored in nodes_. A power of two in
+  /// size, at most half full. Four bytes a slot and no per-entry heap blocks.
+  std::vector<std::uint32_t> strash_;
+  std::uint32_t strash_shift_ = 64;  ///< 64 - log2(strash_.size())
+  std::size_t num_ands_ = 0;
 };
 
 /// Correspondence between a netlist and its AIG.

@@ -1,7 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
-#include <array>
+#include <functional>
 
 #include "common/assert.hpp"
 
@@ -73,15 +73,27 @@ void Netlist::invalidate_analysis() {
   cache_.fanout_valid = false;
 }
 
+std::uint32_t Netlist::append_fanins(std::span<const NodeId> fanins) {
+  const auto at = static_cast<std::uint32_t>(fanin_pool_.size());
+  const NodeId* pool = fanin_pool_.data();
+  if (!fanins.empty() && std::less_equal<>()(pool, fanins.data()) &&
+      std::less<>()(fanins.data(), pool + fanin_pool_.size())) {
+    // `fanins` views this pool, and growing it may reallocate: remember the
+    // source by index, grow, then copy within the grown pool.
+    const auto from = static_cast<std::size_t>(fanins.data() - pool);
+    fanin_pool_.resize(at + fanins.size());
+    std::copy_n(fanin_pool_.begin() + static_cast<std::ptrdiff_t>(from), fanins.size(),
+                fanin_pool_.begin() + at);
+  } else {
+    fanin_pool_.insert(fanin_pool_.end(), fanins.begin(), fanins.end());
+  }
+  return at;
+}
+
 NodeId Netlist::push(Node n, std::span<const NodeId> fanins, std::string_view name) {
   VPGA_ASSERT_MSG(fanins.size() <= 0xFF, "fanin count exceeds the CSR slice width");
-  // Stage through a stack buffer: `fanins` may view this very pool (a caller
-  // forwarding another node's fanins), and growing the pool would invalidate it.
-  std::array<NodeId, 0xFF> local;
-  std::copy(fanins.begin(), fanins.end(), local.begin());
-  n.fanin_offset = static_cast<std::uint32_t>(fanin_pool_.size());
+  n.fanin_offset = append_fanins(fanins);
   n.fanin_count = static_cast<std::uint8_t>(fanins.size());
-  fanin_pool_.insert(fanin_pool_.end(), local.begin(), local.begin() + fanins.size());
   n.name_id = intern_name(name);
   nodes_.push_back(std::move(n));
   invalidate_analysis();
@@ -147,17 +159,14 @@ void Netlist::set_fanin(NodeId id, std::size_t k, NodeId fi) {
 
 void Netlist::replace_fanins(NodeId id, std::span<const NodeId> fanins) {
   VPGA_ASSERT_MSG(fanins.size() <= 0xFF, "fanin count exceeds the CSR slice width");
-  // Copy first: `fanins` may alias this node's current slice in the pool
-  // (e.g. a caller editing a local copy of its own span), and growth below
-  // reallocates the pool.
-  std::array<NodeId, 0xFF> local;
-  std::copy(fanins.begin(), fanins.end(), local.begin());
   Node& n = nodes_[id.index()];
   if (fanins.size() <= n.fanin_count) {
-    std::copy_n(local.begin(), fanins.size(), fanin_pool_.begin() + n.fanin_offset);
+    // In place. Slices of different nodes never overlap, so a source that
+    // overlaps the destination lies in this node's own slice, at or after its
+    // start: copying forward reads every element before overwriting it.
+    for (std::size_t k = 0; k < fanins.size(); ++k) fanin_pool_[n.fanin_offset + k] = fanins[k];
   } else {
-    n.fanin_offset = static_cast<std::uint32_t>(fanin_pool_.size());
-    fanin_pool_.insert(fanin_pool_.end(), local.begin(), local.begin() + fanins.size());
+    n.fanin_offset = append_fanins(fanins);
   }
   n.fanin_count = static_cast<std::uint8_t>(fanins.size());
   invalidate_analysis();

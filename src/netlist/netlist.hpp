@@ -206,6 +206,11 @@ class Netlist {
   /// slice to the end of the pool. Deliberately does NOT enforce arity
   /// against `func` — the verify layer's corruption tests depend on being
   /// able to construct ill-formed netlists that `check()`/lint then reject.
+  ///
+  /// Aliasing: here and in `add_comb`, `fanins` may view this netlist's own
+  /// pool (`fanins(x)` of any node, `id`'s own slice included, or a subspan
+  /// of one). The span is read once and needs no staging copy by the
+  /// caller; a source in the pool is copied by index after the pool grows.
   void replace_fanins(NodeId id, std::span<const NodeId> fanins);
 
   /// The node's interned name ("" when unnamed).
@@ -240,6 +245,9 @@ class Netlist {
 
  private:
   NodeId push(Node n, std::span<const NodeId> fanins, std::string_view name);
+  /// Appends a copy of `fanins`, which may view this pool, and returns the
+  /// new slice's offset.
+  std::uint32_t append_fanins(std::span<const NodeId> fanins);
   std::uint32_t intern_name(std::string_view name);
   void invalidate_analysis();
   void compute_topo(std::vector<NodeId>& out) const;

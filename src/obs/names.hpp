@@ -19,10 +19,11 @@
 namespace vpga::obs::names {
 
 /// Trace span names (one per obs::Span call site family).
-inline constexpr std::array<std::string_view, 29> kSpanNames = {
+inline constexpr std::array<std::string_view, 31> kSpanNames = {
     "stage.verify",  "stage.map",   "stage.compact", "stage.buffer",
     "stage.place",   "stage.pack",  "stage.route",   "stage.sta",
-    "map.subject",   "map.tech_map",  "compact.pricing_round",
+    "map.subject",   "map.aig",     "map.cuts",      "map.tech_map",
+    "compact.pricing_round",
     "pack.lower_bound", "pack.attempt",  "pack.quadrisect", "pack.fill",
     "place.median_sweeps", "place.anneal",
     "route.decompose", "route.initial", "route.negotiate", "route.maze_repair",

@@ -23,6 +23,7 @@
 /// export formats are documented in docs/OBSERVABILITY.md.
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -62,7 +63,15 @@ struct SpanRecord {
 /// relative to construction.
 class Tracer {
  public:
+  /// Span records a tracing context reserves up front: more than a flow
+  /// records at the exact verify level. Growing the record list inside a
+  /// span would bill that span for the trace's own bookkeeping, and one
+  /// more span anywhere earlier in the run would move the bill elsewhere.
+  static constexpr std::size_t kReservedSpans = 256;
+
   Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+
+  void reserve(std::size_t spans) { spans_.reserve(spans); }
 
   [[nodiscard]] std::int64_t now_us() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -165,7 +174,9 @@ struct ObsReport {
 class ObsContext {
  public:
   ObsContext(bool trace, bool metrics, bool memtrack = false)
-      : trace_(trace), metrics_(metrics), memtrack_(memtrack) {}
+      : trace_(trace), metrics_(metrics), memtrack_(memtrack) {
+    if (trace_) tracer_.reserve(Tracer::kReservedSpans);
+  }
 
   [[nodiscard]] bool trace_on() const { return trace_; }
   [[nodiscard]] bool metrics_on() const { return metrics_; }

@@ -127,15 +127,23 @@ Placer::Placer(const Netlist& nl, const PlacerOptions& opts, const library::Cell
     }
   }
 
-  // The slot grid the annealer moves cells on, from the final spreading pass.
+  // The slot grid the annealer moves cells on: the cells in (y, x) order of
+  // their positions. The last spreading pass left order[i] on slot i's
+  // center (row by row, each row by x), distinct grid points in exactly that
+  // order, so after a sweep the order is taken as it is. Without one, the
+  // cells sit on the serpentine and are sorted.
   node_of_slot_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), -1);
   slot_of_node_.assign(n, -1);
   std::vector<std::uint32_t> by_slot = cells_;
-  std::sort(by_slot.begin(), by_slot.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const auto& pa = p.pos[a];
-    const auto& pb = p.pos[b];
-    return pa.y != pb.y ? pa.y < pb.y : pa.x < pb.x;
-  });
+  if (opts.median_sweeps > 0) {
+    for (std::size_t i = 0; i < order.size(); ++i) by_slot[i] = order[i].id;
+  } else {
+    std::sort(by_slot.begin(), by_slot.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const auto& pa = p.pos[a];
+      const auto& pb = p.pos[b];
+      return pa.y != pb.y ? pa.y < pb.y : pa.x < pb.x;
+    });
+  }
   for (std::size_t i = 0; i < by_slot.size(); ++i) {
     node_of_slot_[i] = static_cast<std::int32_t>(by_slot[i]);
     slot_of_node_[by_slot[i]] = static_cast<int>(i);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 
 #include "common/assert.hpp"
 #include "obs/obs.hpp"
@@ -80,25 +81,41 @@ RoutingResult route(const Netlist& nl, const place::Placement& placed, double ti
   // Manhattan metric) — close to a Steiner topology for the small post-
   // buffering fanouts and far shorter than a star for multi-sink nets.
   std::optional<obs::Span> decompose_span(std::in_place, "route.decompose");
-  std::vector<std::vector<std::uint32_t>> sinks(nl.num_nodes());
-  for (NodeId id : nl.all_nodes()) {
+  // Each driver's sinks in CSR form: net v is sink_pool[sink_begin[v] ..
+  // sink_begin[v + 1]), filled in ascending sink order.
+  const std::size_t num_nodes = nl.num_nodes();
+  std::vector<std::uint32_t> sink_begin(num_nodes + 1, 0);
+  for (NodeId id : nl.all_nodes())
     for (NodeId fi : nl.fanins(id))
-      if (fi.valid()) sinks[fi.index()].push_back(id.value());
+      if (fi.valid()) ++sink_begin[fi.index() + 1];
+  for (std::size_t v = 0; v < num_nodes; ++v) sink_begin[v + 1] += sink_begin[v];
+  std::vector<std::uint32_t> sink_pool(sink_begin[num_nodes]);
+  {
+    std::vector<std::uint32_t> fill(sink_begin.begin(), sink_begin.end() - 1);
+    for (NodeId id : nl.all_nodes())
+      for (NodeId fi : nl.fanins(id))
+        if (fi.valid()) sink_pool[fill[fi.index()]++] = id.value();
   }
+  auto sinks_of = [&](std::size_t v) {
+    return std::span<const std::uint32_t>(sink_pool.data() + sink_begin[v],
+                                          sink_begin[v + 1] - sink_begin[v]);
+  };
   std::vector<TwoPin> pins;
-  std::size_t total_sinks = 0;
-  for (const auto& net : sinks) total_sinks += net.size();
-  pins.reserve(total_sinks);  // one two-pin connection per MST edge
+  pins.reserve(sink_pool.size());  // one two-pin connection per MST edge
   // Per-net Prim scratch, hoisted out of the net loop and sized for the
   // largest terminal set up front.
   std::size_t max_terms = 0;
-  for (const auto& net : sinks) max_terms = std::max(max_terms, net.size() + 1);
+  long long nets = 0;
+  for (std::size_t v = 0; v < num_nodes; ++v) {
+    max_terms = std::max(max_terms, sinks_of(v).size() + 1);
+    nets += sinks_of(v).empty() ? 0 : 1;
+  }
   std::vector<std::pair<int, int>> pts;
   pts.reserve(max_terms);
   std::vector<char> in_tree;
   std::vector<int> best_dist, best_from;
   for (NodeId id : nl.all_nodes()) {
-    const auto& net = sinks[id.index()];
+    const auto net = sinks_of(id.index());
     if (net.empty()) continue;
     // Terminal grid coordinates: driver first.
     pts.clear();
@@ -148,8 +165,6 @@ RoutingResult route(const Netlist& nl, const place::Placement& placed, double ti
            std::abs(b.x1 - b.x0) + std::abs(b.y1 - b.y0);
   });
   decompose_span.reset();
-  long long nets = 0;
-  for (const auto& net : sinks) nets += net.empty() ? 0 : 1;
   obs::count("route.nets", nets);
   obs::count("route.connections", static_cast<long long>(pins.size()));
 

@@ -38,13 +38,19 @@ struct Cut {
 
 /// Per-node cut sets for the whole AIG, stored CSR-style: one flat pool of
 /// cuts plus per-node offsets, so the database is two allocations total and
-/// per-cut side tables (e.g. the mapper's match masks) can be indexed flat by
-/// `offset(node) + cut_index`.
+/// per-cut side tables can be indexed flat by `offset(node) + cut_index`.
 class CutDatabase {
  public:
   /// Enumerates cuts bottom-up, keeping at most `cut_limit` cuts per node
-  /// (smallest-leaf-count first — a good priority for exact matching). Every
-  /// node also keeps its trivial cut implicitly (leaf use).
+  /// (smallest-leaf-count first — a good priority for exact matching, and
+  /// in the order first met within a size). Every node also keeps its
+  /// trivial cut, last (leaf use).
+  ///
+  /// The pool is reserved once at its bound, ANDs × (cut_limit + 1) + the
+  /// other nodes, and never reallocates. A node's merged cuts are collected
+  /// in per-size buckets capped at cut_limit, duplicates looked for within
+  /// a bucket only; a fanin cut's table is remapped onto the merged leaves
+  /// by one 7 × 256 table load (docs/ALGORITHMS.md, "Technology mapping").
   CutDatabase(const aig::Aig& g, int cut_limit = 8);
   /// An empty database (of a graph with no nodes), to assign a built one to.
   CutDatabase() = default;

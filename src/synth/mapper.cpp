@@ -1,6 +1,7 @@
 #include "synth/mapper.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 
@@ -70,11 +71,16 @@ MapTarget config_target(const core::PlbArchitecture& arch, const library::CellLi
 
 Subject::Subject(const netlist::Netlist& src) : src_(&src) {
   const obs::Span span("map.subject");
-  mapping_ = aig::from_netlist(src);
-  // The cover needs only the AIG. Release the per-node literal table before
-  // the cut database fills the heap: kept alive, it fragments the heap and
-  // raises the flow's peak RSS.
-  mapping_.node_lit = std::vector<Lit>();
+  {
+    const obs::Span aig_span("map.aig");
+    mapping_ = aig::from_netlist(src);
+    // The cover needs only the AIG, which is complete. Release the per-node
+    // literal table and the structural hash before the cut database fills
+    // the heap: kept alive, they fragment it and raise the flow's peak RSS.
+    mapping_.node_lit = std::vector<Lit>();
+    mapping_.aig.drop_strash();
+  }
+  const obs::Span cuts_span("map.cuts");
   cuts_ = CutDatabase(mapping_.aig);
 }
 
@@ -83,21 +89,17 @@ Cover cover(const Subject& subject, const MapTarget& target, Objective objective
   const aig::Aig& g = subject.mapping().aig;
   const CutDatabase& cuts = subject.cuts();
 
-  // NPN match index: each cut's matching-option set is one table load,
-  // computed once here instead of per (round, cut, option) coverage probes
-  // inside the DP. `match_attempts` counts these lookups — one per cut.
+  // NPN match index: a cut's matching-option set is one table load by its
+  // function. `match_attempts` counts one match per cut.
   const MatchIndex index(target);
-  std::vector<MatchIndex::OptionMask> cut_masks(cuts.total_cuts());
-  long long match_attempts = 0;
-  for (std::uint32_t n = 0; n < g.num_nodes(); ++n) {
-    const auto node_cuts = cuts.cuts(n);
-    const std::size_t flat = cuts.offset(n);
-    for (std::size_t ci = 0; ci < node_cuts.size(); ++ci) {
-      ++match_attempts;
-      cut_masks[flat + ci] = index.options_for(node_cuts[ci].tt);
-    }
+  obs::count("map.match_attempts", static_cast<long long>(cuts.total_cuts()));
+  // Each option's delay and area, read once instead of per candidate.
+  std::array<double, MatchIndex::kMaxOptions> opt_delay{};
+  std::array<double, MatchIndex::kMaxOptions> opt_area{};
+  for (std::size_t oi = 0; oi < target.options.size(); ++oi) {
+    opt_delay[oi] = target.options[oi].arc.delay(kNominalLoadFf);
+    opt_area[oi] = target.options[oi].area_um2;
   }
-  obs::count("map.match_attempts", match_attempts);
 
   // Fanout estimates for area flow, refined from the chosen cover each round
   // (structural AIG fanouts systematically overestimate sharing, which makes
@@ -116,6 +118,11 @@ Cover cover(const Subject& subject, const MapTarget& target, Objective objective
   std::vector<char>& needed = result.needed;
   best.resize(g.num_nodes());
   needed.assign(g.num_nodes(), 0);
+  // What a cut reads of each leaf, dense: the leaf's arrival and its share
+  // of area flow, best.area_flow / max(1, fanout) under this round's
+  // fanouts, set when the DP settles the leaf. Inputs stay at 0.
+  std::vector<double> arrival(g.num_nodes(), 0.0);
+  std::vector<double> flow_share(g.num_nodes(), 0.0);
 
   // Dynamic program over AND nodes (node indices are topological).
   auto run_dp = [&] {
@@ -124,31 +131,30 @@ Cover cover(const Subject& subject, const MapTarget& target, Objective objective
       Choice bc;
       bc.arrival = std::numeric_limits<double>::infinity();
       bc.area_flow = std::numeric_limits<double>::infinity();
-      const auto node_cuts = cuts.cuts(n);
-      const std::size_t flat = cuts.offset(n);
+      // An AND's trivial self-cut is its last; the DP skips it.
+      const auto all_cuts = cuts.cuts(n);
+      const auto node_cuts = all_cuts.first(all_cuts.size() - 1);
       for (int ci = 0; ci < static_cast<int>(node_cuts.size()); ++ci) {
         const Cut& c = node_cuts[static_cast<std::size_t>(ci)];
-        if (c.size == 1 && c.leaves[0] == n) continue;  // trivial self-cut
-        MatchIndex::OptionMask mask = cut_masks[flat + static_cast<std::size_t>(ci)];
+        MatchIndex::OptionMask mask = index.options_for(c.tt);
         if (mask == 0) continue;
         double leaves_arrival = 0.0;
         double leaves_flow = 0.0;
         for (int li = 0; li < c.size; ++li) {
           const auto leaf = c.leaves[static_cast<std::size_t>(li)];
-          leaves_arrival = std::max(leaves_arrival, best[leaf].arrival);
-          leaves_flow += best[leaf].area_flow / std::max(1, fanout[leaf]);
+          leaves_arrival = std::max(leaves_arrival, arrival[leaf]);
+          leaves_flow += flow_share[leaf];
         }
         // Iterate matching options lowest-index-first (countr_zero), which is
         // the same ascending order as the old per-option scan, so every
         // tie-break — and therefore the chosen cover — is unchanged.
         for (; mask != 0; mask &= mask - 1) {
           const int oi = std::countr_zero(mask);
-          const MatchOption& opt = target.options[static_cast<std::size_t>(oi)];
           Choice cand;
           cand.cut = ci;
           cand.option = oi;
-          cand.arrival = leaves_arrival + opt.arc.delay(kNominalLoadFf);
-          cand.area_flow = leaves_flow + opt.area_um2;
+          cand.arrival = leaves_arrival + opt_delay[static_cast<std::size_t>(oi)];
+          cand.area_flow = leaves_flow + opt_area[static_cast<std::size_t>(oi)];
           const bool better =
               objective == Objective::kDelay
                   ? (cand.arrival < bc.arrival - 1e-9 ||
@@ -160,6 +166,8 @@ Cover cover(const Subject& subject, const MapTarget& target, Objective objective
       }
       VPGA_ASSERT_MSG(bc.cut >= 0, "no match covers a 2-input cut; target incomplete");
       best[n] = bc;
+      arrival[n] = bc.arrival;
+      flow_share[n] = bc.area_flow / std::max(1, fanout[n]);
     }
   };
 

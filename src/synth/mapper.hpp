@@ -74,9 +74,10 @@ struct MapResult {
 
 /// The subject graph of mapping: `src` as an AIG (aig::from_netlist, cut at
 /// registers) and the AIG's priority cuts. Building it is most of the cost of
-/// a tech_map call, and each construction records one `map.subject` span. A
-/// flow builds one and every cover of the same netlist reads it: the delay
-/// map and the three compaction pricing rounds. It is not modified after
+/// a tech_map call, and each construction records one `map.subject` span,
+/// with a `map.aig` and a `map.cuts` span inside for its two halves. A flow
+/// builds one and every cover of the same netlist reads it: the delay map
+/// and the three compaction pricing rounds. It is not modified after
 /// construction, so covers may share it, also across threads. It refers to
 /// `src`, whose port and register names the emitted netlists take, so `src`
 /// must outlive it.
@@ -87,8 +88,9 @@ class Subject {
   explicit Subject(netlist::Netlist&& src) = delete;
 
   [[nodiscard]] const netlist::Netlist& source() const { return *src_; }
-  /// The AIG and its boundary correspondence. `node_lit` is empty: the cover
-  /// needs only the AIG, so the table is released before the cuts are built.
+  /// The AIG and its boundary correspondence. `node_lit` is empty and the
+  /// AIG's structural hash is dropped: the cover needs only the AIG's nodes,
+  /// so both are released before the cuts are built.
   [[nodiscard]] const aig::AigMapping& mapping() const { return mapping_; }
   [[nodiscard]] const CutDatabase& cuts() const { return cuts_; }
 
@@ -114,11 +116,14 @@ struct Cover {
   std::vector<char> needed;
 };
 
-/// Covers the subject with the target's options: matches every cut once,
-/// then runs the (arrival, area-flow) DP for three rounds, re-deriving the
-/// fanout estimates from each round's cover, and extracts the final cover.
-/// It emits nothing, so a caller comparing covers (the compaction pricing
-/// rounds) emits only the one it keeps.
+/// Covers the subject with the target's options: runs the (arrival,
+/// area-flow) DP for three rounds, re-deriving the fanout estimates from each
+/// round's cover, and extracts the final cover. A cut's matching options are
+/// one load from the target's match index; each option's delay and area are
+/// read once per call. Beside the choices the DP keeps each node's arrival
+/// and its flow share, area_flow ÷ max(1, fanout), so a cut reads two values
+/// per leaf and divides nothing. It emits nothing, so a caller comparing
+/// covers (the compaction pricing rounds) emits only the one it keeps.
 Cover cover(const Subject& subject, const MapTarget& target, Objective objective);
 
 /// Builds the mapped netlist of a cover made by cover() from the same

@@ -87,19 +87,30 @@ void lint_cycles(const Netlist& nl, const std::string& stage, VerifyReport& repo
     const NodeType t = nl.node(NodeId(i)).type;
     return t == NodeType::kComb || t == NodeType::kOutput;
   };
+  // pending[i] = comb fanins of sink i; the comb fanout lists in CSR form
+  // (fanout_begin / fanout_pool), each filled in ascending sink order.
   std::vector<int> pending(n, 0);
-  std::vector<std::vector<std::uint32_t>> fanouts(n);
+  std::vector<std::uint32_t> fanout_begin(n + 1, 0);
   std::size_t expected = 0;
+  auto comb_fanin = [&](NodeId fi) {
+    return in_range(nl, fi) && nl.node(fi).type == NodeType::kComb;
+  };
   for (std::size_t i = 0; i < n; ++i) {
     if (!is_sink(i)) continue;
     ++expected;
     for (NodeId fi : nl.fanins(NodeId(i))) {
-      if (!in_range(nl, fi)) continue;
-      if (nl.node(fi).type == NodeType::kComb) {
-        ++pending[i];
-        fanouts[fi.index()].push_back(static_cast<std::uint32_t>(i));
-      }
+      if (!comb_fanin(fi)) continue;
+      ++pending[i];
+      ++fanout_begin[fi.index() + 1];
     }
+  }
+  for (std::size_t i = 0; i < n; ++i) fanout_begin[i + 1] += fanout_begin[i];
+  std::vector<std::uint32_t> fanout_pool(fanout_begin[n]);
+  std::vector<std::uint32_t> fill(fanout_begin.begin(), fanout_begin.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!is_sink(i)) continue;
+    for (NodeId fi : nl.fanins(NodeId(i)))
+      if (comb_fanin(fi)) fanout_pool[fill[fi.index()]++] = static_cast<std::uint32_t>(i);
   }
   std::vector<std::uint32_t> ready;
   ready.reserve(n);
@@ -110,8 +121,8 @@ void lint_cycles(const Netlist& nl, const std::string& stage, VerifyReport& repo
     const std::uint32_t i = ready.back();
     ready.pop_back();
     ++visited;
-    for (std::uint32_t o : fanouts[i])
-      if (--pending[o] == 0) ready.push_back(o);
+    for (std::uint32_t e = fanout_begin[i]; e < fanout_begin[i + 1]; ++e)
+      if (--pending[fanout_pool[e]] == 0) ready.push_back(fanout_pool[e]);
   }
   if (visited == expected) return;
   for (std::size_t i = 0; i < n; ++i) {

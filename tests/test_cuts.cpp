@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "designs/designs.hpp"
 
 namespace vpga::synth {
@@ -228,6 +233,169 @@ TEST(Cuts, EveryCutTableMatchesItsLocalCone) {
     }
     EXPECT_GT(checked, 1000) << d.netlist.name();
     EXPECT_GT(internal_leaves, 10 * determined_leaves) << d.netlist.name();
+  }
+}
+
+// --- Reference oracle -----------------------------------------------------
+
+// The cut enumeration before the per-size buckets, the remap table and the
+// bound reservation, kept verbatim as the oracle: a global duplicate check,
+// a stable sort by size, a truncation to cut_limit, and a bit-by-bit remap.
+namespace reference {
+
+std::uint8_t remap(std::uint8_t tt, const Cut& from, const Cut& to) {
+  std::array<unsigned, 3> pos{};
+  int j = 0;
+  for (int i = 0; i < from.size; ++i) {
+    while (j < to.size &&
+           to.leaves[static_cast<std::size_t>(j)] != from.leaves[static_cast<std::size_t>(i)])
+      ++j;
+    VPGA_ASSERT(j < to.size);
+    pos[static_cast<std::size_t>(i)] = static_cast<unsigned>(j++);
+  }
+  std::uint8_t out = 0;
+  for (unsigned row = 0; row < 8; ++row) {
+    unsigned src = 0;
+    for (int i = 0; i < from.size; ++i)
+      if (row & (1u << pos[static_cast<std::size_t>(i)])) src |= 1u << i;
+    if (tt & (1u << src)) out |= static_cast<std::uint8_t>(1u << row);
+  }
+  return out;
+}
+
+bool merge_leaves(const Cut& a, const Cut& b, Cut& out) {
+  std::array<std::uint32_t, 6> tmp{};
+  int n = 0;
+  int i = 0, j = 0;
+  while (i < a.size || j < b.size) {
+    std::uint32_t next;
+    if (j >= b.size || (i < a.size && a.leaves[static_cast<std::size_t>(i)] <=
+                                          b.leaves[static_cast<std::size_t>(j)])) {
+      next = a.leaves[static_cast<std::size_t>(i)];
+      if (j < b.size && b.leaves[static_cast<std::size_t>(j)] == next) ++j;
+      ++i;
+    } else {
+      next = b.leaves[static_cast<std::size_t>(j)];
+      ++j;
+    }
+    if (n == 3) return false;
+    tmp[static_cast<std::size_t>(n++)] = next;
+  }
+  if (n > 3) return false;
+  out.size = static_cast<std::uint8_t>(n);
+  for (int k = 0; k < n; ++k) out.leaves[static_cast<std::size_t>(k)] = tmp[static_cast<std::size_t>(k)];
+  return true;
+}
+
+Cut trivial_cut(std::uint32_t node) {
+  Cut c;
+  c.size = 1;
+  c.leaves[0] = node;
+  c.tt = 0xAA;
+  return c;
+}
+
+/// Every node's cut list, in order.
+std::vector<std::vector<Cut>> enumerate(const Aig& g, int cut_limit) {
+  std::vector<std::vector<Cut>> out(g.num_nodes());
+  out[0].push_back(trivial_cut(0));
+  std::vector<Cut> result;
+  for (std::uint32_t n = 1; n < g.num_nodes(); ++n) {
+    result.clear();
+    if (g.node(n).is_and) {
+      const auto f0 = g.node(n).fanin0;
+      const auto f1 = g.node(n).fanin1;
+      const std::vector<Cut> none;
+      const auto& set0 = aig::node_of(f0) == 0 ? none : out[aig::node_of(f0)];
+      const auto& set1 = aig::node_of(f1) == 0 ? none : out[aig::node_of(f1)];
+      auto consider = [&](const Cut& c) {
+        if (std::find(result.begin(), result.end(), c) != result.end()) return;
+        result.push_back(c);
+      };
+      for (const Cut& a : set0) {
+        for (const Cut& b : set1) {
+          Cut merged;
+          if (!merge_leaves(a, b, merged)) continue;
+          std::uint8_t ta = remap(a.tt, a, merged);
+          std::uint8_t tb = remap(b.tt, b, merged);
+          if (aig::is_complemented(f0)) ta = static_cast<std::uint8_t>(~ta);
+          if (aig::is_complemented(f1)) tb = static_cast<std::uint8_t>(~tb);
+          merged.tt = ta & tb;
+          consider(merged);
+        }
+      }
+      std::stable_sort(result.begin(), result.end(),
+                       [](const Cut& a, const Cut& b) { return a.size < b.size; });
+      if (static_cast<int>(result.size()) > cut_limit)
+        result.resize(static_cast<std::size_t>(cut_limit));
+    }
+    result.push_back(trivial_cut(n));
+    out[n] = result;
+  }
+  return out;
+}
+
+}  // namespace reference
+
+/// A seeded random AIG: AND/XOR/MUX gates over inputs, earlier gates and the
+/// constants, on complemented and plain edges, with a few outputs. Constant
+/// operands exercise the folding rules; XOR and MUX give cuts that reconverge.
+Aig random_aig(std::uint64_t seed, int inputs, int gates) {
+  common::Rng rng(seed);
+  Aig g;
+  std::vector<Lit> pool = {aig::kFalse, aig::kTrue};
+  for (int i = 0; i < inputs; ++i) pool.push_back(g.add_input());
+  auto pick = [&] {
+    const Lit l = pool[rng.next_below(pool.size())];
+    return rng.next_below(2) != 0 ? aig::negate(l) : l;
+  };
+  for (int i = 0; i < gates; ++i) {
+    const Lit a = pick();
+    const Lit b = pick();
+    switch (rng.next_below(4)) {
+      case 0: pool.push_back(g.add_xor(a, b)); break;
+      case 1: pool.push_back(g.add_mux(pick(), a, b)); break;
+      default: pool.push_back(g.add_and(a, b)); break;
+    }
+  }
+  for (int i = 0; i < 8; ++i) g.add_output(pick());
+  return g;
+}
+
+void expect_same_cuts(const Aig& g, int cut_limit, const std::string& label) {
+  const CutDatabase db(g, cut_limit);
+  const auto expect = reference::enumerate(g, cut_limit);
+  std::size_t total = 0;
+  for (std::uint32_t n = 0; n < g.num_nodes(); ++n) {
+    const auto got = db.cuts(n);
+    const auto& want = expect[n];
+    total += want.size();
+    ASSERT_EQ(got.size(), want.size()) << label << " node " << n;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].size, want[i].size) << label << " node " << n << " cut " << i;
+      ASSERT_EQ(got[i].leaves, want[i].leaves) << label << " node " << n << " cut " << i;
+      ASSERT_EQ(got[i].tt, want[i].tt) << label << " node " << n << " cut " << i;
+    }
+  }
+  EXPECT_EQ(db.total_cuts(), total) << label;
+}
+
+TEST(Cuts, EnumerationMatchesReference) {
+  // Every node's whole cut list, in order, against the enumeration it
+  // replaced: on the paper designs and on random graphs with constant
+  // operands and complemented edges, at the default limit and at limits
+  // small enough that the size buckets overflow.
+  for (const int limit : {1, 2, 8}) {
+    for (const auto& d : designs::paper_suite(0.15)) {
+      const auto m = aig::from_netlist(d.netlist);
+      expect_same_cuts(m.aig, limit, d.netlist.name() + " limit " + std::to_string(limit));
+    }
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      const int inputs = 3 + static_cast<int>(seed % 6);
+      const Aig g = random_aig(seed, inputs, 60 + 20 * static_cast<int>(seed % 5));
+      expect_same_cuts(g, limit, "random seed " + std::to_string(seed) + " limit " +
+                                     std::to_string(limit));
+    }
   }
 }
 

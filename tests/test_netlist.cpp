@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 namespace vpga::netlist {
 namespace {
 
@@ -135,6 +139,53 @@ TEST(Netlist, ConfigTagDefaultsToNone) {
     EXPECT_FALSE(nl.node(id).has_config());
     EXPECT_FALSE(nl.node(id).is_mapped());
   }
+}
+
+std::vector<NodeId> fanin_list(const Netlist& nl, NodeId id) {
+  const auto f = nl.fanins(id);
+  return {f.begin(), f.end()};
+}
+
+TEST(Netlist, AppendsFaninSpansThatViewItsOwnPool) {
+  // add_comb and replace_fanins may be handed a span of the netlist's own
+  // fanin pool. Every call below appends to the pool, so a number of them
+  // reallocate it under the span they are reading; a copy that is not taken
+  // by index may read the freed pool, which a sanitizer build reports.
+  Netlist nl("alias");
+  std::vector<NodeId> in;
+  for (int i = 0; i < 4; ++i) in.push_back(nl.add_input("i" + std::to_string(i)));
+  const auto maj = logic::tt3::maj3();
+  const NodeId first = nl.add_comb(maj, {in[0], in[1], in[2]});
+  const std::vector<NodeId> three = {in[0], in[1], in[2]};
+
+  // add_comb with another node's fanins: the first node's and the last one's.
+  NodeId last = first;
+  for (int k = 0; k < 300; ++k) {
+    const NodeId from = k % 2 == 0 ? first : last;
+    last = nl.add_comb(maj, nl.fanins(from));
+    ASSERT_EQ(fanin_list(nl, last), three) << k;
+  }
+
+  // replace_fanins with a node's own slice: shrinking keeps the slice,
+  // growing relocates it to the end of the pool.
+  const NodeId z = nl.add_comb(maj, {in[1], in[2], in[3]});
+  for (int k = 0; k < 300; ++k) {
+    nl.replace_fanins(z, nl.fanins(z));  // unchanged
+    ASSERT_EQ(fanin_list(nl, z), (std::vector<NodeId>{in[1], in[2], in[3]})) << k;
+    nl.replace_fanins(z, nl.fanins(z).subspan(1));  // shrink to its own tail
+    ASSERT_EQ(fanin_list(nl, z), (std::vector<NodeId>{in[2], in[3]})) << k;
+    // Grow over its own slot, which still holds three entries.
+    nl.replace_fanins(z, std::span<const NodeId>(nl.fanins(z).data(), 3));
+    ASSERT_EQ(fanin_list(nl, z), (std::vector<NodeId>{in[2], in[3], in[3]})) << k;
+    nl.replace_fanins(z, nl.fanins(z).first(1));  // shrink to its own head
+    ASSERT_EQ(fanin_list(nl, z), (std::vector<NodeId>{in[2]})) << k;
+    // Grow from another node's slice.
+    nl.replace_fanins(z, nl.fanins(last));
+    ASSERT_EQ(fanin_list(nl, z), three) << k;
+    nl.replace_fanins(z, std::vector<NodeId>{in[1], in[2], in[3]});
+  }
+  EXPECT_EQ(fanin_list(nl, first), three);
+  EXPECT_EQ(fanin_list(nl, last), three);
 }
 
 }  // namespace

@@ -67,6 +67,29 @@ TEST(Span, RecordsNestingDepthAndOrder) {
   EXPECT_FALSE(rep.has_span("nonexistent"));
 }
 
+TEST(Span, RecordListGrowthIsNotBilledToTheOpenSpan) {
+  // A tracing context reserves its span records, so what an open span is
+  // billed for does not depend on how many spans closed before it.
+  std::vector<long long> billed;
+  for (const int before : {0, 1, 3, 7, 15, 31, 63}) {
+    ObsContext ctx(true, true, true);
+    const ScopedObs bind(&ctx);
+    for (int i = 0; i < before; ++i) {
+      const Span filler("filler");
+    }
+    {
+      const Span probe("probe");
+      const Span child("child");
+    }
+    const auto& spans = ctx.tracer().spans();
+    const auto probe = std::find_if(spans.begin(), spans.end(),
+                                    [](const SpanRecord& s) { return s.name == "probe"; });
+    ASSERT_NE(probe, spans.end());
+    billed.push_back(probe->alloc_count);
+  }
+  for (const long long count : billed) EXPECT_EQ(count, billed.front());
+}
+
 TEST(Span, ChromeTraceJsonParsesBack) {
   ObsContext ctx(true, false);
   {
@@ -510,6 +533,32 @@ TEST(FlowObs, OneSubjectServesTheMapAndEveryPricingRound) {
   const auto cuts = static_cast<long long>(built.cuts().total_cuts());
   EXPECT_EQ(rep.obs.counter("map.cuts_enumerated"), cuts);
   EXPECT_EQ(rep.obs.counter("map.match_attempts"), 4 * cuts);
+}
+
+TEST(FlowObs, SubjectBuildsItsAigThenItsCuts) {
+  // The subject's two halves have their own spans: map.aig (the AIG) and
+  // map.cuts (its priority cuts), once each per flow, both directly inside
+  // map.subject and in that order.
+  flow::FlowOptions opts;
+  opts.trace = true;
+  opts.metrics = true;
+  for (const char which : {'a', 'b'}) {
+    const auto rep =
+        flow::run_flow(small_design(), core::PlbArchitecture::granular(), which, opts);
+    ASSERT_EQ(rep.obs.span_count("map.subject"), 1) << which;
+    ASSERT_EQ(rep.obs.span_count("map.aig"), 1) << which;
+    ASSERT_EQ(rep.obs.span_count("map.cuts"), 1) << which;
+    auto find = [&rep](std::string_view name) {
+      return *std::find_if(rep.obs.spans.begin(), rep.obs.spans.end(),
+                           [name](const SpanRecord& s) { return s.name == name; });
+    };
+    const SpanRecord subject = find("map.subject");
+    const SpanRecord aig = find("map.aig");
+    const SpanRecord cuts = find("map.cuts");
+    EXPECT_TRUE(child_of(aig, subject)) << which;
+    EXPECT_TRUE(child_of(cuts, subject)) << which;
+    EXPECT_LE(aig.start_us + aig.dur_us, cuts.start_us) << which;
+  }
 }
 
 TEST(FlowObs, PlacementSpreadsOnceAndAnnealsTwice) {
