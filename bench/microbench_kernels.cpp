@@ -13,7 +13,6 @@
 #include "compact/compact.hpp"
 #include "compact/flowmap.hpp"
 #include "designs/designs.hpp"
-#include "logic/npn.hpp"
 #include "logic/s3.hpp"
 #include "obs/events.hpp"
 #include "obs/memtrack.hpp"
@@ -68,11 +67,6 @@ void BM_Compact(benchmark::State& state) {
 }
 BENCHMARK(BM_Compact)->Arg(8)->Arg(32);
 
-// The canonicalization kernel behind the mapper's match index:
-//   0: table lookup (npn_canonical4, the shipped path)
-//   1: brute force (768 NPN images per query, the reference path)
-// CI asserts the lookup beats brute force by a wide machine-independent
-// ratio — a regression here means the lazy table got rebuilt per query.
 // The exact-equivalence kernel: per-output miter proofs of a tech-mapped
 // ripple adder against its golden generator netlist.
 //   0: cheap-first tier ladder as shipped (every cone retires exhaustively)
@@ -137,20 +131,6 @@ void BM_BddCec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddCec)->Arg(0)->Arg(1);
-
-void BM_NpnCanon(benchmark::State& state) {
-  const bool brute = state.range(0) == 1;
-  // Touch the table once so the lookup path measures steady state, not the
-  // one-time orbit-flood construction.
-  benchmark::DoNotOptimize(logic::npn_canonical4(0x6996));
-  std::uint16_t tt = 0x1234;
-  for (auto _ : state) {
-    tt = static_cast<std::uint16_t>(tt * 25173u + 13849u);  // LCG probe stream
-    benchmark::DoNotOptimize(brute ? logic::npn_canonical4_brute(tt)
-                                   : logic::npn_canonical4(tt));
-  }
-}
-BENCHMARK(BM_NpnCanon)->Arg(0)->Arg(1);
 
 void BM_FlowMapLabels(benchmark::State& state) {
   const auto nl = designs::make_ripple_adder(static_cast<int>(state.range(0)));

@@ -13,7 +13,7 @@
 #include "core/fa_packing.hpp"
 #include "designs/designs.hpp"
 #include "flow/flow.hpp"
-#include "netlist/simulate.hpp"
+#include "netlist/bitsim.hpp"
 #include "synth/mapper.hpp"
 
 int main(int argc, char** argv) {
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         synth::tech_map(src, synth::cell_target(*arch), synth::Objective::kDelay);
     auto comp = compact::compact_from(src, mapped.netlist, *arch);
     // Verify functional equivalence through the transformations.
-    const bool ok = netlist::equivalent_random_sim(src, comp.netlist, 256);
+    const bool ok = !netlist::random_divergence(src, comp.netlist, 256);
     const int fas =
         comp.report.config_histogram[static_cast<int>(core::ConfigKind::kFullAdder)];
     std::printf("  %-13s: %d FA macros fused, equivalence %s\n", arch->name.c_str(), fas,

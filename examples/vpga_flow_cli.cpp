@@ -18,7 +18,6 @@
 #include "core/arch_io.hpp"
 #include "flow/flow.hpp"
 #include "netlist/io.hpp"
-#include "obs/export.hpp"
 #include "netlist/verilog.hpp"
 #include "pack/layout_svg.hpp"
 #include "place/placement.hpp"
@@ -42,8 +41,6 @@ void usage(const char* argv0) {
                "          [--trace trace.json]        Chrome trace of the flow stages\n"
                "          [--metrics-json file.json]  flow counters/histograms\n"
                "                                      (docs/OBSERVABILITY.md)\n"
-               "          [--metrics-openmetrics file.txt]  same metrics as an\n"
-               "                                      OpenMetrics text exposition\n"
                "          [--memtrack]                per-stage allocation profiling\n"
                "                                      (*.alloc_* counters)\n",
                argv0);
@@ -58,7 +55,7 @@ int main(int argc, char** argv) {
   std::string arch_name = "granular";
   std::string arch_file;
   std::string svg_path, save_path, verilog_path;
-  std::string trace_path, metrics_path, openmetrics_path;
+  std::string trace_path, metrics_path;
   char which = 'b';
   double clock_ps = 0.0;
   bool want_power = false;
@@ -91,8 +88,6 @@ int main(int argc, char** argv) {
       if (const char* v = next()) trace_path = v;
     } else if (a == "--metrics-json") {
       if (const char* v = next()) metrics_path = v;
-    } else if (a == "--metrics-openmetrics") {
-      if (const char* v = next()) openmetrics_path = v;
     } else if (a == "--memtrack") {
       want_memtrack = true;
     } else if (a == "--power") {
@@ -167,7 +162,7 @@ int main(int argc, char** argv) {
   fopts.verify_level = verify_level;
   fopts.cec.force_bdd = cec_force_bdd;
   fopts.trace = !trace_path.empty();
-  fopts.metrics = !metrics_path.empty() || !openmetrics_path.empty();
+  fopts.metrics = !metrics_path.empty();
   fopts.memtrack = want_memtrack;
   const auto r = flow::run_flow(design, arch, which, fopts);
   std::printf("design        %s\n", r.design.c_str());
@@ -207,16 +202,6 @@ int main(int argc, char** argv) {
     out << r.obs.metrics_json();
     std::printf("metrics       %s (%zu counters)\n", metrics_path.c_str(),
                 r.obs.counters.size());
-  }
-  if (!openmetrics_path.empty()) {
-    std::ofstream out(openmetrics_path);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", openmetrics_path.c_str());
-      return 1;
-    }
-    out << obs::openmetrics_text(r.obs);
-    std::printf("openmetrics   %s (scrape-ready exposition)\n",
-                openmetrics_path.c_str());
   }
 
   // Artifacts need the intermediate netlists: rebuild the front of the flow.

@@ -12,9 +12,7 @@
 /// behaviour deterministic regardless of insertion pressure.
 ///
 /// Unlike std::unordered_map there is one allocation per growth step and no
-/// per-node boxing, which also keeps the structure invisible to the
-/// fabriclint `perf.map-in-hot-loop` rule for good reason rather than by
-/// accident.
+/// per-node boxing.
 
 #include <cstddef>
 #include <cstdint>

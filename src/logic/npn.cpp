@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 
 #include "common/assert.hpp"
 #include "logic/truth_table.hpp"
@@ -65,54 +64,6 @@ const char* class_name(std::uint8_t representative) {
     case 0xE8: return "MAJ3 (carry)";
     default: return "";
   }
-}
-
-/// The 24 permutations of 4 variables, in lexicographic order.
-const std::array<std::array<std::uint8_t, 4>, 24>& perms4() {
-  static const auto perms = [] {
-    std::array<std::array<std::uint8_t, 4>, 24> out{};
-    std::array<std::uint8_t, 4> p = {0, 1, 2, 3};
-    int i = 0;
-    do {
-      out[static_cast<std::size_t>(i++)] = p;
-    } while (std::next_permutation(p.begin(), p.end()));
-    VPGA_ASSERT(i == 24);
-    return out;
-  }();
-  return perms;
-}
-
-/// Row-source maps for all 384 signed permutations of 4 inputs:
-/// image bit r = tt bit src[perm][neg][r]. Shared by the table builder and
-/// the brute-force reference so both enumerate the identical orbit.
-struct SignedPerm4 {
-  std::array<std::uint8_t, 16> src;
-};
-const std::array<SignedPerm4, 384>& signed_perms4() {
-  static const auto maps = [] {
-    std::array<SignedPerm4, 384> out{};
-    std::size_t k = 0;
-    for (const auto& perm : perms4()) {
-      for (unsigned neg = 0; neg < 16; ++neg) {
-        for (unsigned r = 0; r < 16; ++r) {
-          unsigned s = 0;
-          for (int v = 0; v < 4; ++v)
-            if (r & (1u << v)) s |= 1u << perm[static_cast<std::size_t>(v)];
-          out[k].src[r] = static_cast<std::uint8_t>(s ^ neg);
-        }
-        ++k;
-      }
-    }
-    return out;
-  }();
-  return maps;
-}
-
-std::uint16_t apply_signed_perm4(std::uint16_t tt, const SignedPerm4& sp) {
-  std::uint16_t image = 0;
-  for (unsigned r = 0; r < 16; ++r)
-    if (tt & (1u << sp.src[r])) image |= static_cast<std::uint16_t>(1u << r);
-  return image;
 }
 
 }  // namespace
@@ -206,66 +157,6 @@ std::vector<double> npn_coverage(const FnSet3& set) {
   for (std::size_t i = 0; i < classes.size(); ++i)
     covered[i] = total[i] > 0 ? covered[i] / total[i] : 0.0;
   return covered;
-}
-
-const std::array<std::uint16_t, 65536>& npn_canonical_table4() {
-  // Same orbit-flooding as the 3-var table, with precomputed row-source maps
-  // (24 perms x 16 negation masks) so each of the 768 images of a class
-  // representative costs 16 bit probes. Total build work is ~222 classes x
-  // 768 images — a few million bit operations, done once per process.
-  static const auto table = [] {
-    auto canon = std::make_unique<std::array<std::uint16_t, 65536>>();
-    std::vector<bool> assigned(65536, false);
-    const auto& sps = signed_perms4();
-    for (std::uint32_t f = 0; f < 65536; ++f) {
-      if (assigned[f]) continue;
-      for (const auto& sp : sps) {
-        const std::uint16_t image = apply_signed_perm4(static_cast<std::uint16_t>(f), sp);
-        canon->at(image) = static_cast<std::uint16_t>(f);
-        assigned[image] = true;
-        const std::uint16_t comp = static_cast<std::uint16_t>(~image);
-        canon->at(comp) = static_cast<std::uint16_t>(f);
-        assigned[comp] = true;
-      }
-    }
-    return canon;
-  }();
-  return *table;
-}
-
-std::uint16_t npn_canonical4(std::uint16_t tt) { return npn_canonical_table4()[tt]; }
-
-const std::vector<std::uint16_t>& npn_representatives4() {
-  static const std::vector<std::uint16_t> reps = [] {
-    const auto& table = npn_canonical_table4();
-    std::vector<std::uint16_t> out;
-    for (std::uint32_t f = 0; f < 65536; ++f)
-      if (table[f] == f) out.push_back(static_cast<std::uint16_t>(f));
-    return out;  // ascending by construction
-  }();
-  return reps;
-}
-
-std::uint16_t apply_npn4(std::uint16_t tt, const NpnTransform& t) {
-  std::uint16_t out = 0;
-  for (unsigned r = 0; r < 16; ++r) {
-    unsigned s = 0;
-    for (int v = 0; v < 4; ++v)
-      if (r & (1u << v)) s |= 1u << t.perm[static_cast<std::size_t>(v)];
-    s ^= t.negate_mask;
-    if (tt & (1u << s)) out |= static_cast<std::uint16_t>(1u << r);
-  }
-  return t.negate_output ? static_cast<std::uint16_t>(~out) : out;
-}
-
-std::uint16_t npn_canonical4_brute(std::uint16_t tt) {
-  std::uint16_t best = tt;
-  for (const auto& sp : signed_perms4()) {
-    const std::uint16_t image = apply_signed_perm4(tt, sp);
-    best = std::min(best, image);
-    best = std::min(best, static_cast<std::uint16_t>(~image));
-  }
-  return best;
 }
 
 }  // namespace vpga::logic

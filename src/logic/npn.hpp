@@ -1,22 +1,21 @@
 #pragma once
 /// \file npn.hpp
-/// NPN classification of small Boolean functions (<= 4 inputs).
+/// NPN classification of 3-input Boolean functions.
 ///
 /// Two functions are NPN-equivalent when one becomes the other under input
 /// Negation, input Permutation and output Negation — exactly the freedoms a
 /// via-patterned cell with programmable polarity and routable pins has. The
-/// 256 three-input functions fall into 14 NPN classes and the 65536
-/// four-input functions into 222; classifying coverage sets by NPN class
-/// shows *which kinds* of logic a PLB component captures, the lens the
-/// paper's predecessor studies ([7], [6]) used to motivate heterogeneous
-/// blocks.
+/// 256 three-input functions fall into 14 NPN classes; classifying coverage
+/// sets by NPN class shows *which kinds* of logic a PLB component captures,
+/// the lens the paper's predecessor studies ([7], [6]) used to motivate
+/// heterogeneous blocks.
 ///
 /// Canonicalization is table-backed: the first query builds a dense
 /// tt -> canonical-representative table by orbit enumeration (each class is
-/// visited once and flooded over its members), after which `npn_canonical` /
-/// `npn_canonical4` are single loads. This is what lets the technology
-/// mapper replace per-cut x per-option coverage probes with one
-/// canonicalize-then-lookup (synth::MatchIndex).
+/// visited once and flooded over its members), after which `npn_canonical`
+/// is a single load. This is what lets the technology mapper replace per-cut
+/// x per-option coverage probes with one canonicalize-then-lookup
+/// (synth::MatchIndex).
 
 #include <array>
 #include <cstdint>
@@ -34,8 +33,6 @@ struct NpnTransform {
   std::uint8_t negate_mask = 0;                  ///< bit v: input v complemented
   bool negate_output = false;
 };
-
-/// --- 3-input functions (the PLB component granularity) ----------------------
 
 /// The canonical (numerically smallest) representative of tt's NPN class.
 /// O(1): one load from the lazily built 256-entry table.
@@ -69,25 +66,5 @@ const std::vector<NpnClass>& npn_classes();
 /// Fraction of each NPN class covered by a function set (e.g. a cell's
 /// coverage); out[i] in [0,1] aligned with npn_classes().
 std::vector<double> npn_coverage(const FnSet3& set);
-
-/// --- 4-input functions (LUT4-granularity analysis; S3 over cones) -----------
-
-/// The canonical representative of tt's NPN class among 4-input functions.
-/// O(1): one load from the lazily built 65536-entry table.
-std::uint16_t npn_canonical4(std::uint16_t tt);
-
-/// The full tt -> canonical table (65536 entries).
-const std::array<std::uint16_t, 65536>& npn_canonical_table4();
-
-/// The 222 canonical class representatives of 4-input logic, ascending.
-const std::vector<std::uint16_t>& npn_representatives4();
-
-/// Applies an NPN transform to a 4-input truth table.
-std::uint16_t apply_npn4(std::uint16_t tt, const NpnTransform& t);
-
-/// Brute-force canonicalization: minimum over all 768 NPN images, computed
-/// from scratch with no table. Reference implementation for the property
-/// tests and the BM_NpnCanon speedup baseline.
-std::uint16_t npn_canonical4_brute(std::uint16_t tt);
 
 }  // namespace vpga::logic

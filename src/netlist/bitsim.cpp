@@ -1,6 +1,9 @@
 #include "netlist/bitsim.hpp"
 
+#include <bit>
+
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 
 namespace vpga::netlist {
 
@@ -41,6 +44,14 @@ void BasicBitSimulator<W>::eval() {
 }
 
 template <class W>
+void BasicBitSimulator<W>::step() {
+  const auto& dffs = nl_.dffs();
+  next_.resize(dffs.size());  // sized by the first edge; later edges reuse it
+  for (std::size_t d = 0; d < dffs.size(); ++d) next_[d] = next_state(d);
+  for (std::size_t d = 0; d < dffs.size(); ++d) values_[dffs[d].index()] = next_[d];
+}
+
+template <class W>
 W BasicBitSimulator<W>::output(std::size_t i) const {
   VPGA_ASSERT(i < nl_.outputs().size());
   return values_[nl_.outputs()[i].index()];
@@ -56,6 +67,30 @@ W BasicBitSimulator<W>::next_state(std::size_t d) const {
 
 template class BasicBitSimulator<std::uint64_t>;
 template class BasicBitSimulator<Word256>;
+
+std::optional<Divergence> random_divergence(const Netlist& a, const Netlist& b, int cycles,
+                                            std::uint64_t seed) {
+  VPGA_ASSERT(a.inputs().size() == b.inputs().size() &&
+              a.outputs().size() == b.outputs().size());
+  BitSimulator sa(a), sb(b);
+  common::Rng rng(seed);
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (std::size_t i = 0; i < a.inputs().size(); ++i) {
+      const std::uint64_t w = rng.next_u64();
+      sa.set_input(i, w);
+      sb.set_input(i, w);
+    }
+    sa.eval();
+    sb.eval();
+    for (std::size_t o = 0; o < a.outputs().size(); ++o) {
+      const std::uint64_t diff = sa.output(o) ^ sb.output(o);
+      if (diff != 0) return Divergence{cycle, o, std::countr_zero(diff)};
+    }
+    sa.step();
+    sb.step();
+  }
+  return std::nullopt;
+}
 
 bool exhaustive_equivalent(const Netlist& a, const Netlist& b, int max_inputs) {
   VPGA_ASSERT_MSG(a.dffs().empty() && b.dffs().empty(),

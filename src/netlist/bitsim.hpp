@@ -1,18 +1,22 @@
 #pragma once
 /// \file bitsim.hpp
-/// Bit-parallel (64-pattern) simulation and exhaustive equivalence checking.
+/// Bit-parallel (64-pattern) netlist simulation, random-stimulus lockstep
+/// co-simulation and exhaustive equivalence checking.
 ///
 /// Each node value is a 64-bit word holding 64 independent input patterns, so
 /// a combinational netlist with n <= ~20 inputs can be checked against a
 /// reference *exhaustively* (2^n patterns, 64 at a time) in milliseconds —
 /// turning the synthesis pipeline's equivalence tests from sampling into
-/// proof for adder/mux-sized cones. A simulator over `Word256` carries four
-/// such words per node and evaluates all 256 patterns in one topological
-/// pass.
+/// proof for adder/mux-sized cones. Sequential netlists are clocked with
+/// step(): 64 independent streams advance from reset at once, the basis of
+/// the random-stimulus equivalence check and of the power estimator's
+/// switching activity. A simulator over `Word256` carries four such words per
+/// node and evaluates all 256 patterns in one topological pass.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -45,8 +49,9 @@ struct Word256 {
 /// `f` applied to bit t of each fanin word, where `word(k)` returns fanin
 /// k's word (a std::uint64_t or a Word256; the result has the same type).
 /// For each row r with f(r) = 1, the fanin words in the row's polarities are
-/// ANDed and ORed into the result. This is the gate evaluator of the bit
-/// simulators and of the exact-equivalence checker's witness checks.
+/// ANDed and ORed into the result. This is the one netlist gate evaluator:
+/// the bit simulators and the exact-equivalence checker's witness checks
+/// both call it.
 template <class FaninWord>
 [[nodiscard]] auto eval_gate(const logic::TruthTable& f, std::size_t arity, FaninWord word) {
   using W = std::remove_cvref_t<decltype(word(std::size_t{0}))>;
@@ -66,9 +71,10 @@ template <class FaninWord>
 
 /// Evaluates a word of input patterns at once through the combinational
 /// logic: 64 patterns for W = std::uint64_t (`BitSimulator`), 256 for
-/// W = Word256. Sequential netlists are supported: DFF outputs are part of
-/// the pattern state you set explicitly (useful for checking next-state
-/// functions). Instantiated for those two word types only.
+/// W = Word256. DFF outputs are part of the pattern state: a fresh simulator
+/// is the all-zero reset state, step() clocks every register, and
+/// set_state() sets a register's word directly (useful for checking
+/// next-state functions). Instantiated for those two word types only.
 template <class W>
 class BasicBitSimulator {
  public:
@@ -80,6 +86,9 @@ class BasicBitSimulator {
   void set_state(std::size_t d, W patterns);
   /// Propagates through all combinational logic.
   void eval();
+  /// Clock edge: every DFF takes its D word at once, so a register fed by
+  /// another register sees that register's pre-edge word. Call after eval().
+  void step();
   [[nodiscard]] W output(std::size_t i) const;
   [[nodiscard]] W value(NodeId id) const { return values_[id.index()]; }
   /// Pattern word of DFF d's next-state (D pin) after eval().
@@ -89,6 +98,7 @@ class BasicBitSimulator {
   const Netlist& nl_;
   std::vector<NodeId> order_;
   std::vector<W> values_;
+  std::vector<W> next_;  // step()'s D words, gathered before any register moves
 };
 
 extern template class BasicBitSimulator<std::uint64_t>;
@@ -96,6 +106,22 @@ extern template class BasicBitSimulator<Word256>;
 
 /// The 64-pattern simulator.
 using BitSimulator = BasicBitSimulator<std::uint64_t>;
+
+/// Where two netlists' outputs first differ under random stimulus.
+struct Divergence {
+  int cycle = 0;           ///< clock cycle; 0 is the reset state
+  std::size_t output = 0;  ///< primary output index
+  int pattern = 0;         ///< lowest differing lane of that cycle's word
+};
+
+/// Co-simulates `a` and `b` in lockstep from reset for `cycles` clock cycles
+/// of 64 independent patterns each: every cycle draws one
+/// Rng(seed).next_u64() word per primary input, in input order, drives both
+/// netlists with it and compares every primary output. Returns the first
+/// divergence (lowest output index within the first diverging cycle), or
+/// nullopt when all 64 * cycles vectors agree. The PI/PO counts must match.
+std::optional<Divergence> random_divergence(const Netlist& a, const Netlist& b, int cycles,
+                                            std::uint64_t seed = 1);
 
 /// Exhaustively proves combinational equivalence of two netlists with the
 /// same PI/PO interface and no registers. Requires #inputs <= max_inputs

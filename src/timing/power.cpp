@@ -1,10 +1,11 @@
 #include "timing/power.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "core/config.hpp"
-#include "netlist/simulate.hpp"
+#include "netlist/bitsim.hpp"
 
 namespace vpga::timing {
 
@@ -15,21 +16,23 @@ PowerReport estimate_power(const netlist::Netlist& nl, const place::Placement& p
   if (opts.cycles <= 0 || nl.num_nodes() == 0) return rep;
 
   // --- switching activity by random simulation -------------------------------
-  netlist::Simulator sim(nl);
+  // 64 independent stimulus streams per cycle; a node's toggles in one cycle
+  // are the lanes where its word changed since the previous cycle.
+  netlist::BitSimulator sim(nl);
   common::Rng rng(opts.seed);
-  std::vector<char> prev(nl.num_nodes(), 0);
+  std::vector<std::uint64_t> prev(nl.num_nodes(), 0);
   std::vector<int> toggles(nl.num_nodes(), 0);
   for (int cycle = 0; cycle < opts.cycles; ++cycle) {
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) sim.set_input(i, rng.next_bool());
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) sim.set_input(i, rng.next_u64());
     sim.eval();
     for (netlist::NodeId id : nl.all_nodes()) {
-      const char v = sim.value(id) ? 1 : 0;
-      if (cycle > 0 && v != prev[id.index()]) ++toggles[id.index()];
+      const std::uint64_t v = sim.value(id);
+      if (cycle > 0) toggles[id.index()] += std::popcount(v ^ prev[id.index()]);
       prev[id.index()] = v;
     }
     sim.step();
   }
-  const double denom = std::max(1, opts.cycles - 1);
+  const double denom = 64.0 * std::max(1, opts.cycles - 1);
   for (netlist::NodeId id : nl.all_nodes())
     rep.toggle_rate[id.index()] = toggles[id.index()] / denom;
 

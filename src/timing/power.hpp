@@ -20,7 +20,7 @@ namespace vpga::timing {
 struct PowerOptions {
   double clock_period_ps = 2500.0;
   double vdd = 1.8;                ///< volts (0.18 um node)
-  int cycles = 256;                ///< random simulation length
+  int cycles = 256;                ///< random simulation cycles, 64 stimulus streams each
   std::uint64_t seed = 1;
   /// Routed length per driver node (empty: Manhattan estimates from placement).
   std::vector<double> net_length_um;

@@ -908,7 +908,7 @@ void check_cec(const Netlist& golden, const Netlist& revised, const std::string&
   obs::count("cec.sweep_merges", cec.sweep_merges);
   obs::count("cec.unknown", cec.unknown);
   // The per-point tier-resolution family: one counter per ladder tier, so
-  // BENCH_flow.json and the OpenMetrics export break down where points land.
+  // BENCH_flow.json breaks down where points land.
   obs::count("cec.tier_resolved.structural", cec.tier_struct);
   obs::count("cec.tier_resolved.truth", cec.tier_table);
   obs::count("cec.tier_resolved.bitsim", cec.tier_exhaustive);

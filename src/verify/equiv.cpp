@@ -3,13 +3,11 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "netlist/bitsim.hpp"
 #include "obs/obs.hpp"
 
 namespace vpga::verify {
 
-using netlist::BitSimulator;
 using netlist::Netlist;
 using netlist::NodeId;
 
@@ -54,41 +52,18 @@ void check_equivalence(const Netlist& golden, const Netlist& revised,
     return;
   }
 
-  // 64 independent pattern streams per cycle; registers clock in lockstep
-  // from the all-zero reset state, each netlist tracking its own state words.
-  BitSimulator sa(golden), sb(revised);
-  std::vector<std::uint64_t> state_a(golden.dffs().size(), 0);
-  std::vector<std::uint64_t> state_b(revised.dffs().size(), 0);
-  common::Rng rng(opts.seed);
-
-  for (int cycle = 0; cycle < opts.cycles; ++cycle) {
-    obs::count("verify.equiv.vectors", 64);  // one 64-wide pattern word per cycle
-    for (std::size_t i = 0; i < golden.inputs().size(); ++i) {
-      const std::uint64_t w = rng.next_u64();
-      sa.set_input(i, w);
-      sb.set_input(i, w);
-    }
-    for (std::size_t d = 0; d < state_a.size(); ++d) sa.set_state(d, state_a[d]);
-    for (std::size_t d = 0; d < state_b.size(); ++d) sb.set_state(d, state_b[d]);
-    sa.eval();
-    sb.eval();
-
-    for (std::size_t o = 0; o < golden.outputs().size(); ++o) {
-      const std::uint64_t diff = sa.output(o) ^ sb.output(o);
-      if (diff == 0) continue;
-      const NodeId out = revised.outputs()[o];
-      const int pattern = __builtin_ctzll(diff);
-      report.add(Severity::kError, "equiv.output-diverges", stage, out,
-                 "output '" + revised.name_of(out) + "' (index " + std::to_string(o) +
-                     ") diverges at cycle " + std::to_string(cycle) + ", pattern " +
-                     std::to_string(pattern) + "; revised cone: " +
-                     describe_cone(revised, out));
-      return;  // first diverging cone only; later mismatches are downstream noise
-    }
-
-    for (std::size_t d = 0; d < state_a.size(); ++d) state_a[d] = sa.next_state(d);
-    for (std::size_t d = 0; d < state_b.size(); ++d) state_b[d] = sb.next_state(d);
-  }
+  // 64 independent pattern streams per cycle, clocked in lockstep from reset.
+  const auto div = netlist::random_divergence(golden, revised, opts.cycles, opts.seed);
+  const int cycles = div ? div->cycle + 1 : opts.cycles;
+  if (cycles > 0) obs::count("verify.equiv.vectors", 64LL * cycles);
+  if (!div) return;
+  // First diverging cone only; later mismatches are downstream noise.
+  const NodeId out = revised.outputs()[div->output];
+  report.add(Severity::kError, "equiv.output-diverges", stage, out,
+             "output '" + revised.name_of(out) + "' (index " + std::to_string(div->output) +
+                 ") diverges at cycle " + std::to_string(div->cycle) + ", pattern " +
+                 std::to_string(div->pattern) + "; revised cone: " +
+                 describe_cone(revised, out));
 }
 
 }  // namespace vpga::verify

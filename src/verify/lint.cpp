@@ -1,6 +1,7 @@
 #include "verify/lint.hpp"
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -161,7 +162,12 @@ void lint_hygiene(const Netlist& nl, const std::string& stage, VerifyReport& rep
                  "combinational node feeds no primary output or register");
   }
 
-  std::unordered_map<std::string, std::size_t> first_named;
+  // Keyed on views of the netlist's own name strings: no name is copied.
+  std::size_t named = 0;
+  for (std::size_t i = 0; i < nl.num_nodes(); ++i)
+    if (!nl.name_of(NodeId(i)).empty()) ++named;
+  std::unordered_map<std::string_view, std::size_t> first_named;
+  first_named.reserve(named);
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
     const std::string& name = nl.name_of(NodeId(i));
     if (name.empty()) continue;

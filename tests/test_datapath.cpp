@@ -6,24 +6,25 @@
 
 #include <bit>
 
+#include "bitsim_helpers.hpp"
 #include "common/rng.hpp"
-#include "netlist/simulate.hpp"
 
 namespace vpga::designs {
 namespace {
 
+using netlist::BitSimulator;
 using netlist::Netlist;
-using netlist::Simulator;
 
-std::uint64_t read_outputs(const Simulator& sim, const Netlist& nl) {
+std::uint64_t read_outputs(const BitSimulator& sim, const Netlist& nl) {
   std::uint64_t v = 0;
   for (std::size_t o = 0; o < nl.outputs().size(); ++o)
-    if (sim.output(o)) v |= std::uint64_t{1} << o;
+    if (output_bit(sim, o)) v |= std::uint64_t{1} << o;
   return v;
 }
 
-void drive(Simulator& sim, std::size_t base, std::uint64_t value, int width) {
-  for (int b = 0; b < width; ++b) sim.set_input(base + static_cast<std::size_t>(b), (value >> b) & 1);
+void drive(BitSimulator& sim, std::size_t base, std::uint64_t value, int width) {
+  for (int b = 0; b < width; ++b)
+    sim.set_input(base + static_cast<std::size_t>(b), lanes((value >> b) & 1));
 }
 
 TEST(Datapath, PrefixAddMatchesRippleAdd) {
@@ -35,13 +36,13 @@ TEST(Datapath, PrefixAddMatchesRippleAdd) {
   const auto p = prefix_add(nl, a, b, netlist::NodeId{}, true);
   for (std::size_t i = 0; i < r.size(); ++i)
     nl.add_output(nl.add_xor(r[i], p[i]), "diff" + std::to_string(i));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   common::Rng rng(5);
   for (int iter = 0; iter < 400; ++iter) {
-    drive(sim, 0, rng.next_u64() & 0x3FF, 10);
-    drive(sim, 10, rng.next_u64() & 0x3FF, 10);
+    // 64 random operand pairs per eval, one per lane.
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) sim.set_input(i, rng.next_u64());
     sim.eval();
-    EXPECT_EQ(read_outputs(sim, nl), 0u);
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o) EXPECT_EQ(sim.output(o), 0u) << o;
   }
 }
 
@@ -52,7 +53,7 @@ TEST(Datapath, PrefixAddWithCarryIn) {
   const auto cin = nl.add_input("cin");
   const auto s = prefix_add(nl, a, b, cin, true);
   output_bus(nl, "s", s);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   common::Rng rng(7);
   for (int iter = 0; iter < 500; ++iter) {
     const auto av = rng.next_u64() & 0xFF;
@@ -60,7 +61,7 @@ TEST(Datapath, PrefixAddWithCarryIn) {
     const bool c = rng.next_bool();
     drive(sim, 0, av, 8);
     drive(sim, 8, bv, 8);
-    sim.set_input(16, c);
+    sim.set_input(16, lanes(c));
     sim.eval();
     EXPECT_EQ(read_outputs(sim, nl), av + bv + (c ? 1 : 0));
   }
@@ -71,7 +72,7 @@ TEST(Datapath, PrefixSubTwosComplement) {
   const Bus a = input_bus(nl, "a", 8);
   const Bus b = input_bus(nl, "b", 8);
   output_bus(nl, "d", prefix_sub(nl, a, b));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   common::Rng rng(9);
   for (int iter = 0; iter < 300; ++iter) {
     const auto av = rng.next_u64() & 0xFF;
@@ -88,13 +89,13 @@ TEST(Datapath, LessThanUnsigned) {
   const Bus a = input_bus(nl, "a", 6);
   const Bus b = input_bus(nl, "b", 6);
   nl.add_output(less_than(nl, a, b), "lt");
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   for (unsigned av = 0; av < 64; av += 3)
     for (unsigned bv = 0; bv < 64; bv += 5) {
       drive(sim, 0, av, 6);
       drive(sim, 6, bv, 6);
       sim.eval();
-      EXPECT_EQ(sim.output(0), av < bv) << av << " " << bv;
+      EXPECT_EQ(output_bit(sim, 0), av < bv) << av << " " << bv;
     }
 }
 
@@ -102,7 +103,7 @@ TEST(Datapath, LeadingZerosCountsFromMsb) {
   Netlist nl;
   const Bus v = input_bus(nl, "v", 12);
   output_bus(nl, "z", leading_zeros(nl, v));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   for (int lead = 0; lead < 12; ++lead) {
     // Value with exactly `lead` leading zeros: top set bit at 11-lead.
     const std::uint64_t val = std::uint64_t{1} << (11 - lead);
@@ -119,13 +120,13 @@ TEST(Datapath, LeadingZerosAllZeroSetsTopFlag) {
   const Bus v = input_bus(nl, "v", 8);
   const Bus z = leading_zeros(nl, v);
   nl.add_output(z.back(), "allzero");
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   drive(sim, 0, 0, 8);
   sim.eval();
-  EXPECT_TRUE(sim.output(0));
+  EXPECT_TRUE(output_bit(sim, 0));
   drive(sim, 0, 1, 8);
   sim.eval();
-  EXPECT_FALSE(sim.output(0));
+  EXPECT_FALSE(output_bit(sim, 0));
 }
 
 TEST(Datapath, BarrelShiftBothDirections) {
@@ -134,7 +135,7 @@ TEST(Datapath, BarrelShiftBothDirections) {
   const Bus amt = input_bus(nl, "amt", 3);
   output_bus(nl, "l", barrel_shift(nl, v, amt, true));
   output_bus(nl, "r", barrel_shift(nl, v, amt, false));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   for (unsigned a = 0; a < 8; ++a) {
     drive(sim, 0, 0xB5, 8);
     drive(sim, 8, a, 3);
@@ -153,7 +154,7 @@ TEST(Datapath, CrcStepMatchesBitSerialReference) {
   const Bus crc = input_bus(nl, "crc", 16);
   const Bus data = input_bus(nl, "d", 8);
   output_bus(nl, "next", crc_step(nl, crc, data, kPoly));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   common::Rng rng(21);
   for (int iter = 0; iter < 200; ++iter) {
     const auto c0 = rng.next_u64() & 0xFFFF;
@@ -176,7 +177,7 @@ TEST(Datapath, DecodeOneHot) {
   Netlist nl;
   const Bus sel = input_bus(nl, "s", 3);
   output_bus(nl, "d", decode(nl, sel));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   for (unsigned s = 0; s < 8; ++s) {
     drive(sim, 0, s, 3);
     sim.eval();
@@ -188,7 +189,7 @@ TEST(Datapath, PriorityGrantLsbWins) {
   Netlist nl;
   const Bus req = input_bus(nl, "r", 6);
   output_bus(nl, "g", priority_grant(nl, req));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   drive(sim, 0, 0b101100, 6);
   sim.eval();
   EXPECT_EQ(read_outputs(sim, nl), 0b000100u);
@@ -203,7 +204,7 @@ TEST(Datapath, MuxTreeSelectsEveryInput) {
   std::vector<Bus> choices;
   for (int i = 0; i < 4; ++i) choices.push_back(input_bus(nl, "c" + std::to_string(i), 4));
   output_bus(nl, "o", mux_tree(nl, sel, choices));
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   for (unsigned s = 0; s < 4; ++s) {
     drive(sim, 0, s, 2);
     for (unsigned i = 0; i < 4; ++i) drive(sim, 2 + 4 * i, 0x9 + i, 4);
@@ -218,15 +219,15 @@ TEST(Datapath, ReduceTreesMatchSemantics) {
   nl.add_output(reduce_or(nl, v), "or");
   nl.add_output(reduce_and(nl, v), "and");
   nl.add_output(reduce_xor(nl, v), "xor");
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   common::Rng rng(3);
   for (int iter = 0; iter < 200; ++iter) {
     const auto val = rng.next_u64() & 0x7F;
     drive(sim, 0, val, 7);
     sim.eval();
-    EXPECT_EQ(sim.output(0), val != 0);
-    EXPECT_EQ(sim.output(1), val == 0x7F);
-    EXPECT_EQ(sim.output(2), (std::popcount(val) & 1) != 0);
+    EXPECT_EQ(output_bit(sim, 0), val != 0);
+    EXPECT_EQ(output_bit(sim, 1), val == 0x7F);
+    EXPECT_EQ(output_bit(sim, 2), (std::popcount(val) & 1) != 0);
   }
 }
 

@@ -5,45 +5,45 @@
 
 #include <gtest/gtest.h>
 
+#include "bitsim_helpers.hpp"
 #include "designs/datapath.hpp"
-#include "netlist/simulate.hpp"
 
 namespace vpga::designs {
 namespace {
 
-using netlist::Simulator;
+using netlist::BitSimulator;
 
-std::uint64_t read_bus_outputs(const Simulator& sim, const netlist::Netlist& nl,
+std::uint64_t read_bus_outputs(const BitSimulator& sim, const netlist::Netlist& nl,
                                const std::string& prefix) {
   std::uint64_t v = 0;
   int bit = 0;
   for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
     const auto& name = nl.name_of(nl.outputs()[o]);
     if (name.rfind(prefix + "[", 0) == 0) {
-      if (sim.output(o)) v |= std::uint64_t{1} << bit;
+      if (output_bit(sim, o)) v |= std::uint64_t{1} << bit;
       ++bit;
     }
   }
   return v;
 }
 
-void drive_bus(Simulator& sim, const netlist::Netlist& nl, const std::string& prefix,
+void drive_bus(BitSimulator& sim, const netlist::Netlist& nl, const std::string& prefix,
                std::uint64_t value) {
   int bit = 0;
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     const auto& name = nl.name_of(nl.inputs()[i]);
     if (name.rfind(prefix + "[", 0) == 0) {
-      sim.set_input(i, (value >> bit) & 1);
+      sim.set_input(i, lanes((value >> bit) & 1));
       ++bit;
     }
   }
 }
 
-void drive_pin(Simulator& sim, const netlist::Netlist& nl, const std::string& name,
+void drive_pin(BitSimulator& sim, const netlist::Netlist& nl, const std::string& name,
                bool value) {
   for (std::size_t i = 0; i < nl.inputs().size(); ++i)
     if (nl.name_of(nl.inputs()[i]) == name) {
-      sim.set_input(i, value);
+      sim.set_input(i, lanes(value));
       return;
     }
   FAIL() << "no input pin " << name;
@@ -52,7 +52,7 @@ void drive_pin(Simulator& sim, const netlist::Netlist& nl, const std::string& na
 TEST(Designs, RippleAdderAddsExhaustively) {
   const auto nl = make_ripple_adder(4);
   ASSERT_TRUE(nl.check().ok);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   for (unsigned a = 0; a < 16; ++a)
     for (unsigned b = 0; b < 16; ++b) {
       drive_bus(sim, nl, "a", a);
@@ -62,7 +62,7 @@ TEST(Designs, RippleAdderAddsExhaustively) {
       const auto sum = read_bus_outputs(sim, nl, "sum");
       bool cout = false;
       for (std::size_t o = 0; o < nl.outputs().size(); ++o)
-        if (nl.name_of(nl.outputs()[o]) == "cout") cout = sim.output(o);
+        if (nl.name_of(nl.outputs()[o]) == "cout") cout = output_bit(sim, o);
       EXPECT_EQ(sum | (static_cast<std::uint64_t>(cout) << 4), a + b);
     }
 }
@@ -70,7 +70,7 @@ TEST(Designs, RippleAdderAddsExhaustively) {
 TEST(Designs, CounterCounts) {
   const auto nl = make_counter(4);
   ASSERT_TRUE(nl.check().ok);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   drive_pin(sim, nl, "en", true);
   for (int t = 0; t < 20; ++t) {
     sim.eval();
@@ -81,7 +81,7 @@ TEST(Designs, CounterCounts) {
 
 TEST(Designs, CounterHoldsWhenDisabled) {
   const auto nl = make_counter(4);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   drive_pin(sim, nl, "en", true);
   for (int t = 0; t < 3; ++t) { sim.eval(); sim.step(); }
   drive_pin(sim, nl, "en", false);
@@ -95,7 +95,7 @@ TEST(Designs, CounterHoldsWhenDisabled) {
 TEST(Designs, LfsrCyclesThroughStates) {
   const auto nl = make_lfsr(8, 0b10111000);  // x^8 + x^6 + x^5 + x^4 + 1 -ish
   ASSERT_TRUE(nl.check().ok);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   drive_pin(sim, nl, "seed", true);  // kick out of the all-zero state
   sim.eval();
   sim.step();
@@ -119,7 +119,7 @@ TEST_P(AluOps, ComputesCorrectly) {
   const auto d = make_alu(8);
   const auto& nl = d.netlist;
   ASSERT_TRUE(nl.check().ok);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   const std::uint64_t test_vectors[][2] = {
       {0x00, 0x00}, {0x01, 0x01}, {0xFF, 0x01}, {0x5A, 0xA5}, {0x80, 0x7F}, {0x33, 0x0F}};
   for (const auto& [a, b] : test_vectors) {
@@ -156,7 +156,7 @@ TEST(Designs, FpuMultiplySmall) {
   const auto d = make_fpu(5, 6);
   const auto& nl = d.netlist;
   ASSERT_TRUE(nl.check().ok);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   drive_pin(sim, nl, "x_sign", false);
   drive_pin(sim, nl, "y_sign", true);
   drive_bus(sim, nl, "x_exp", 16);
@@ -171,8 +171,8 @@ TEST(Designs, FpuMultiplySmall) {
   EXPECT_EQ(read_bus_outputs(sim, nl, "z_man"), 32u);
   for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
     const auto& name = nl.name_of(nl.outputs()[o]);
-    if (name == "z_sign") EXPECT_TRUE(sim.output(o));
-    if (name == "z_zero") EXPECT_FALSE(sim.output(o));
+    if (name == "z_sign") EXPECT_TRUE(output_bit(sim, o));
+    if (name == "z_zero") EXPECT_FALSE(output_bit(sim, o));
   }
 }
 
@@ -180,7 +180,7 @@ TEST(Designs, NetworkSwitchRoutesPacket) {
   const auto d = make_network_switch(4, 8);
   const auto& nl = d.netlist;
   ASSERT_TRUE(nl.check().ok);
-  Simulator sim(nl);
+  BitSimulator sim(nl);
   // Port 2 sends 0xAB to output 1; others idle.
   for (int p = 0; p < 4; ++p) {
     const std::string pn = "p" + std::to_string(p) + "_";
@@ -194,15 +194,15 @@ TEST(Designs, NetworkSwitchRoutesPacket) {
   sim.eval();
   EXPECT_EQ(read_bus_outputs(sim, nl, "out1_data"), 0xABu);
   for (std::size_t o = 0; o < nl.outputs().size(); ++o)
-    if (nl.name_of(nl.outputs()[o]) == "out1_valid") EXPECT_TRUE(sim.output(o));
+    if (nl.name_of(nl.outputs()[o]) == "out1_valid") EXPECT_TRUE(output_bit(sim, o));
 }
 
 TEST(Designs, FirewireRegisterFileReadsBack) {
   const auto d = make_firewire(4, 8);
   const auto& nl = d.netlist;
   ASSERT_TRUE(nl.check().ok);
-  Simulator sim(nl);
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) sim.set_input(i, false);
+  BitSimulator sim(nl);
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i) sim.set_input(i, lanes(false));
   drive_bus(sim, nl, "wr_data", 0x5C);
   drive_bus(sim, nl, "addr", 2);
   drive_pin(sim, nl, "wr_en", true);

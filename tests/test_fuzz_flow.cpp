@@ -7,10 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bitsim_helpers.hpp"
 #include "common/rng.hpp"
 #include "compact/compact.hpp"
 #include "designs/designs.hpp"
-#include "netlist/simulate.hpp"
+#include "netlist/bitsim.hpp"
 #include "pack/packer.hpp"
 #include "place/placement.hpp"
 #include "synth/buffering.hpp"
@@ -64,11 +65,11 @@ TEST_P(FuzzFlow, MapAndCompactPreserveBehaviour) {
     const auto mapped =
         synth::tech_map(src, synth::cell_target(arch), synth::Objective::kDelay);
     ASSERT_TRUE(mapped.netlist.check().ok) << arch.name;
-    EXPECT_TRUE(netlist::equivalent_random_sim(src, mapped.netlist, 128))
+    EXPECT_FALSE(netlist::random_divergence(src, mapped.netlist, 128))
         << arch.name << " seed " << seed;
     auto comp = compact::compact_from(src, mapped.netlist, arch);
     ASSERT_TRUE(comp.netlist.check().ok) << arch.name;
-    EXPECT_TRUE(netlist::equivalent_random_sim(src, comp.netlist, 128))
+    EXPECT_FALSE(netlist::random_divergence(src, comp.netlist, 128))
         << arch.name << " seed " << seed;
   }
 }
@@ -114,19 +115,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPack, ::testing::Range(1, 9));
 TEST(FuzzAdders, CarrySelectAddsCorrectly) {
   const auto nl = designs::make_carry_select_adder(12, 4);
   ASSERT_TRUE(nl.check().ok);
-  netlist::Simulator sim(nl);
+  netlist::BitSimulator sim(nl);
   common::Rng rng(77);
   for (int iter = 0; iter < 500; ++iter) {
     const auto a = rng.next_u64() & 0xFFF;
     const auto b = rng.next_u64() & 0xFFF;
     const bool cin = rng.next_bool();
-    for (int i = 0; i < 12; ++i) sim.set_input(static_cast<std::size_t>(i), (a >> i) & 1);
-    for (int i = 0; i < 12; ++i) sim.set_input(static_cast<std::size_t>(12 + i), (b >> i) & 1);
-    sim.set_input(24, cin);
+    for (int i = 0; i < 12; ++i) sim.set_input(static_cast<std::size_t>(i), lanes((a >> i) & 1));
+    for (int i = 0; i < 12; ++i)
+      sim.set_input(static_cast<std::size_t>(12 + i), lanes((b >> i) & 1));
+    sim.set_input(24, lanes(cin));
     sim.eval();
     std::uint64_t got = 0;
     for (int i = 0; i < 13; ++i)
-      if (sim.output(static_cast<std::size_t>(i))) got |= std::uint64_t{1} << i;
+      if (output_bit(sim, static_cast<std::size_t>(i))) got |= std::uint64_t{1} << i;
     EXPECT_EQ(got, a + b + (cin ? 1 : 0)) << a << "+" << b;
   }
 }
@@ -134,7 +136,7 @@ TEST(FuzzAdders, CarrySelectAddsCorrectly) {
 TEST(FuzzAdders, PrefixAdderMatchesCarrySelect) {
   const auto p = designs::make_prefix_adder(16);
   const auto c = designs::make_carry_select_adder(16, 4);
-  EXPECT_TRUE(netlist::equivalent_random_sim(p, c, 500));
+  EXPECT_FALSE(netlist::random_divergence(p, c, 500));
 }
 
 TEST(FuzzAdders, AllAdderStylesEquivalentThroughMapping) {
@@ -142,7 +144,7 @@ TEST(FuzzAdders, AllAdderStylesEquivalentThroughMapping) {
     const auto src = make(10);
     const auto mapped = synth::tech_map(src, synth::cell_target(PlbArchitecture::granular()),
                                         synth::Objective::kDelay);
-    EXPECT_TRUE(netlist::equivalent_random_sim(src, mapped.netlist, 300));
+    EXPECT_FALSE(netlist::random_divergence(src, mapped.netlist, 300));
   }
 }
 

@@ -16,7 +16,7 @@
 #include "core/config.hpp"
 #include "designs/designs.hpp"
 #include "logic/npn.hpp"
-#include "netlist/simulate.hpp"
+#include "netlist/bitsim.hpp"
 #include "synth/buffering.hpp"
 #include "synth/match_index.hpp"
 
@@ -41,7 +41,7 @@ TEST(Mapper, LutTargetMapsAdderEquivalently) {
   const auto src = designs::make_ripple_adder(8);
   const auto r = tech_map(src, cell_target(PlbArchitecture::lut_based()), Objective::kDelay);
   EXPECT_TRUE(r.netlist.check().ok);
-  EXPECT_TRUE(netlist::equivalent_random_sim(src, r.netlist, 300));
+  EXPECT_FALSE(netlist::random_divergence(src, r.netlist, 300));
   expect_only_cells(r.netlist, {library::CellKind::kLut3, library::CellKind::kNd3wi,
                                 library::CellKind::kInv, library::CellKind::kBuf});
 }
@@ -50,7 +50,7 @@ TEST(Mapper, GranularTargetMapsAdderEquivalently) {
   const auto src = designs::make_ripple_adder(8);
   const auto r = tech_map(src, cell_target(PlbArchitecture::granular()), Objective::kDelay);
   EXPECT_TRUE(r.netlist.check().ok);
-  EXPECT_TRUE(netlist::equivalent_random_sim(src, r.netlist, 300));
+  EXPECT_FALSE(netlist::random_divergence(src, r.netlist, 300));
   expect_only_cells(r.netlist, {library::CellKind::kMux2, library::CellKind::kNd3wi,
                                 library::CellKind::kInv, library::CellKind::kBuf});
 }
@@ -60,7 +60,7 @@ TEST(Mapper, SequentialDesignsSurviveMapping) {
   const auto r = tech_map(src, cell_target(PlbArchitecture::granular()), Objective::kDelay);
   EXPECT_TRUE(r.netlist.check().ok);
   EXPECT_EQ(r.netlist.dffs().size(), 6u);
-  EXPECT_TRUE(netlist::equivalent_random_sim(src, r.netlist, 200));
+  EXPECT_FALSE(netlist::random_divergence(src, r.netlist, 200));
 }
 
 TEST(Mapper, AluMapsOnBothArchitectures) {
@@ -68,7 +68,7 @@ TEST(Mapper, AluMapsOnBothArchitectures) {
   for (const auto& arch : {PlbArchitecture::lut_based(), PlbArchitecture::granular()}) {
     const auto r = tech_map(d.netlist, cell_target(arch), Objective::kDelay);
     EXPECT_TRUE(r.netlist.check().ok) << arch.name;
-    EXPECT_TRUE(netlist::equivalent_random_sim(d.netlist, r.netlist, 150)) << arch.name;
+    EXPECT_FALSE(netlist::random_divergence(d.netlist, r.netlist, 150)) << arch.name;
     EXPECT_GT(r.stats.area_um2, 0.0);
     EXPECT_GT(r.stats.depth, 0);
   }
@@ -80,7 +80,7 @@ TEST(Mapper, AreaObjectiveNeverLarger) {
   const auto delay = tech_map(d.netlist, t, Objective::kDelay);
   const auto area = tech_map(d.netlist, t, Objective::kArea);
   EXPECT_LE(area.stats.area_um2, delay.stats.area_um2 * 1.001);
-  EXPECT_TRUE(netlist::equivalent_random_sim(delay.netlist, area.netlist, 150));
+  EXPECT_FALSE(netlist::random_divergence(delay.netlist, area.netlist, 150));
 }
 
 TEST(Mapper, DelayObjectiveNeverSlower) {
@@ -94,7 +94,7 @@ TEST(Mapper, DelayObjectiveNeverSlower) {
 TEST(Mapper, ConfigTargetProducesConfigTags) {
   const auto src = designs::make_ripple_adder(6);
   const auto r = tech_map(src, config_target(PlbArchitecture::granular()), Objective::kArea);
-  EXPECT_TRUE(netlist::equivalent_random_sim(src, r.netlist, 200));
+  EXPECT_FALSE(netlist::random_divergence(src, r.netlist, 200));
   int tagged = 0;
   for (netlist::NodeId id : r.netlist.all_nodes()) {
     const auto& n = r.netlist.node(id);
@@ -116,7 +116,7 @@ TEST(Mapper, XorChainsPreferMuxOnGranular) {
     if (n.type == netlist::NodeType::kComb && n.num_fanins() >= 2)
       EXPECT_EQ(*n.cell, library::CellKind::kMux2);
   }
-  EXPECT_TRUE(netlist::equivalent_random_sim(src, r.netlist, 200));
+  EXPECT_FALSE(netlist::random_divergence(src, r.netlist, 200));
 }
 
 TEST(Mapper, GranularMappingBeatsLutDelayEstimate) {
@@ -149,7 +149,7 @@ TEST(Buffering, PreservesFunction) {
   const auto src = designs::make_ripple_adder(8);
   auto buffered = src;
   insert_buffers(buffered, 3);
-  EXPECT_TRUE(netlist::equivalent_random_sim(src, buffered, 200));
+  EXPECT_FALSE(netlist::random_divergence(src, buffered, 200));
 }
 
 TEST(Buffering, NoChangeBelowLimit) {

@@ -6,9 +6,10 @@
 
 #include <sstream>
 
+#include "bitsim_helpers.hpp"
 #include "compact/compact.hpp"
 #include "designs/designs.hpp"
-#include "netlist/simulate.hpp"
+#include "netlist/bitsim.hpp"
 #include "synth/mapper.hpp"
 
 namespace vpga::netlist {
@@ -28,13 +29,13 @@ TEST(NetlistIo, RoundTripCombinational) {
   const auto back = round_trip(nl);
   EXPECT_EQ(back.num_nodes(), nl.num_nodes());
   EXPECT_EQ(back.name(), nl.name());
-  EXPECT_TRUE(equivalent_random_sim(nl, back, 200));
+  EXPECT_FALSE(random_divergence(nl, back, 200));
 }
 
 TEST(NetlistIo, RoundTripSequentialWithFeedback) {
   const auto nl = designs::make_counter(6);
   const auto back = round_trip(nl);
-  EXPECT_TRUE(equivalent_random_sim(nl, back, 100));
+  EXPECT_FALSE(random_divergence(nl, back, 100));
 }
 
 TEST(NetlistIo, RoundTripPreservesAnnotations) {
@@ -55,7 +56,7 @@ TEST(NetlistIo, RoundTripPreservesAnnotations) {
     EXPECT_EQ(a.macro_rep, b.macro_rep);
     EXPECT_EQ(a.func.bits(), b.func.bits());
   }
-  EXPECT_TRUE(equivalent_random_sim(comp.netlist, back, 200));
+  EXPECT_FALSE(random_divergence(comp.netlist, back, 200));
 }
 
 TEST(NetlistIo, RejectsMissingHeader) {
@@ -119,11 +120,11 @@ TEST(NetlistIo, DffForwardReferenceAllowed) {
       "end\n");
   const auto r = read_netlist(is);
   ASSERT_TRUE(r.ok) << r.error;
-  Simulator sim(r.netlist);
+  BitSimulator sim(r.netlist);
   bool expected = false;
   for (int t = 0; t < 4; ++t) {
     sim.eval();
-    EXPECT_EQ(sim.output(0), expected);
+    EXPECT_EQ(output_bit(sim, 0), expected);
     sim.step();
     expected = !expected;
   }
@@ -145,7 +146,7 @@ TEST(NetlistIo, FileRoundTrip) {
   ASSERT_TRUE(save_netlist("/tmp/vpga_io_test.vnl", nl));
   const auto r = load_netlist("/tmp/vpga_io_test.vnl");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(equivalent_random_sim(nl, r.netlist, 100));
+  EXPECT_FALSE(random_divergence(nl, r.netlist, 100));
 }
 
 TEST(NetlistIo, LoadMissingFileFails) {

@@ -102,49 +102,5 @@ TEST(Npn, Table3MatchesScalarLookup) {
     EXPECT_EQ(table[static_cast<std::size_t>(f)], npn_canonical(static_cast<std::uint8_t>(f)));
 }
 
-TEST(Npn4, TwoHundredTwentyTwoClasses) {
-  // The classic result for 4 inputs: 65536 functions, 222 NPN classes.
-  EXPECT_EQ(npn_representatives4().size(), 222u);
-}
-
-TEST(Npn4, RepresentativesAreFixedPoints) {
-  for (auto rep : npn_representatives4()) EXPECT_EQ(npn_canonical4(rep), rep);
-}
-
-TEST(Npn4, TableMatchesBruteForce) {
-  // Deterministic stride sample of the 65536 functions (the brute-force
-  // reference walks 768 images per query, so exhaustive would be slow) plus
-  // the structurally interesting corners.
-  for (std::uint32_t f = 0; f < 0x10000; f += 257)
-    EXPECT_EQ(npn_canonical4(static_cast<std::uint16_t>(f)),
-              npn_canonical4_brute(static_cast<std::uint16_t>(f)))
-        << f;
-  for (std::uint16_t f : {std::uint16_t{0x0000}, std::uint16_t{0xFFFF}, std::uint16_t{0x6996},
-                          std::uint16_t{0x8000}, std::uint16_t{0xAAAA}, std::uint16_t{0xCAFE}})
-    EXPECT_EQ(npn_canonical4(f), npn_canonical4_brute(f)) << f;
-}
-
-TEST(Npn4, CanonicalInvariantUnderTransforms) {
-  // Applying any single-swap / single-negation transform must not change the
-  // canonical representative (those moves generate the whole NPN group).
-  const std::uint16_t probes[] = {0x1234, 0x6996, 0x0001, 0x7F80, 0xDEAD};
-  for (auto tt : probes) {
-    const auto canon = npn_canonical4(tt);
-    for (int a = 0; a < 4; ++a) {
-      NpnTransform neg;
-      neg.negate_mask = static_cast<std::uint8_t>(1u << a);
-      EXPECT_EQ(npn_canonical4(apply_npn4(tt, neg)), canon);
-      for (int b = a + 1; b < 4; ++b) {
-        NpnTransform swap;
-        std::swap(swap.perm[static_cast<std::size_t>(a)], swap.perm[static_cast<std::size_t>(b)]);
-        EXPECT_EQ(npn_canonical4(apply_npn4(tt, swap)), canon);
-      }
-    }
-    NpnTransform out;
-    out.negate_output = true;
-    EXPECT_EQ(npn_canonical4(apply_npn4(tt, out)), canon);
-  }
-}
-
 }  // namespace
 }  // namespace vpga::logic

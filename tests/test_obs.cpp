@@ -19,7 +19,6 @@
 
 #include "designs/designs.hpp"
 #include "flow/flow.hpp"
-#include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/memtrack.hpp"
 #include "place/placement.hpp"
@@ -288,45 +287,6 @@ TEST(Json, FormatDoubleNeverEmitsNonFiniteTokens) {
   // JSON has no Infinity/NaN literals; the formatter degrades to 0.
   EXPECT_EQ(json::format_double(std::numeric_limits<double>::infinity()), "0");
   EXPECT_EQ(json::format_double(std::numeric_limits<double>::quiet_NaN()), "0");
-}
-
-// --- OpenMetrics exposition -------------------------------------------------
-
-TEST(OpenMetrics, EmitsCountersGaugesHistogramsAndEof) {
-  ObsContext ctx(false, true);
-  const ScopedObs bind(&ctx);
-  count("route.ripups", 3);
-  gauge("route.peak_congestion", 0.25);
-  observe("pack.displacement_um", 3.0);
-  observe("pack.displacement_um", 1000.0);
-  const std::string text = openmetrics_text(ctx.report());
-
-  // Counters: dotted names become vpga_-prefixed underscored families with
-  // the mandatory _total sample suffix.
-  EXPECT_NE(text.find("# TYPE vpga_route_ripups counter"), std::string::npos);
-  EXPECT_NE(text.find("vpga_route_ripups_total 3"), std::string::npos);
-  // Gauges keep the bare family name.
-  EXPECT_NE(text.find("# TYPE vpga_route_peak_congestion gauge"), std::string::npos);
-  EXPECT_NE(text.find("vpga_route_peak_congestion 0.25"), std::string::npos);
-  // Histograms: cumulative le buckets, +Inf closes at count, _sum/_count.
-  EXPECT_NE(text.find("# TYPE vpga_pack_displacement_um histogram"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("vpga_pack_displacement_um_sum 1003"), std::string::npos);
-  EXPECT_NE(text.find("vpga_pack_displacement_um_count 2"), std::string::npos);
-  // The spec's required terminator, exactly at the end.
-  ASSERT_GE(text.size(), 6u);
-  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-}
-
-TEST(OpenMetrics, HistogramBucketsAreCumulative) {
-  ObsContext ctx(false, true);
-  const ScopedObs bind(&ctx);
-  observe("pack.displacement_um", 0.5);  // bucket 0 (le 1)
-  observe("pack.displacement_um", 3.0);  // bucket 2 (le 4)
-  const std::string text = openmetrics_text(ctx.report());
-  // le="1" sees one sample, le="4" sees both (cumulative, not per-bucket).
-  EXPECT_NE(text.find("le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("le=\"4\"} 2"), std::string::npos);
 }
 
 // --- Disabled-path overhead -------------------------------------------------

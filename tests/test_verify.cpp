@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "compact/compact.hpp"
 #include "core/vias.hpp"
@@ -140,6 +142,25 @@ TEST(Lint, SharedNameFiresDuplicateNameWarning) {
   const auto r = lint(nl);
   expect_fired(r, "lint.duplicate-name");
   EXPECT_FALSE(r.has_errors()) << "duplicate names are a warning, not an error";
+}
+
+TEST(Lint, DuplicateNamesReportInNodeOrderAgainstTheirFirstUse) {
+  auto nl = good_netlist();
+  const auto t0 = nl.add_input("twin");
+  const auto p0 = nl.add_input("pair");
+  const auto t1 = nl.add_input("twin");
+  const auto p1 = nl.add_input("pair");
+  const auto t2 = nl.add_input("twin");
+  const auto r = lint(nl);
+  std::vector<std::pair<NodeId, std::string>> got;
+  for (const auto& d : r.diagnostics())
+    if (d.rule == "lint.duplicate-name") got.emplace_back(d.node, d.message);
+  const auto at = [](NodeId id) { return std::to_string(id.index()); };
+  const std::vector<std::pair<NodeId, std::string>> want = {
+      {t1, "name 'twin' already used by node " + at(t0)},
+      {p1, "name 'pair' already used by node " + at(p0)},
+      {t2, "name 'twin' already used by node " + at(t0)}};
+  EXPECT_EQ(got, want);
 }
 
 TEST(Lint, DeadLogicFiresUnreachableWarning) {
@@ -453,6 +474,28 @@ TEST(Equiv, DifferentInterfacesFireInterfaceMismatch) {
   VerifyReport r;
   check_equivalence(designs::make_ripple_adder(4), designs::make_ripple_adder(8), "test", r);
   expect_fired(r, "equiv.interface-mismatch");
+}
+
+TEST(Equiv, LateStateDivergencePinsMessageAndVectors) {
+  // Bit 2's increment XOR becomes an OR: the next state differs only when a
+  // lane's count wraps 7 -> 8, so the outputs first diverge cycles after reset.
+  const auto golden = designs::make_counter(8);
+  auto revised = golden;
+  const NodeId mux = revised.fanin(revised.dffs()[2], 0);
+  const NodeId sum = revised.fanin(mux, 2);
+  ASSERT_EQ(revised.node(sum).func, logic::TruthTable(2, 0x6));
+  revised.node(sum).func = logic::TruthTable(2, 0xE);
+
+  obs::ObsContext ctx(/*trace=*/false, /*metrics=*/true);
+  const obs::ScopedObs bind(&ctx);
+  VerifyReport r;
+  check_equivalence(golden, revised, "test", r);
+  ASSERT_EQ(r.diagnostics().size(), 1u) << r.summary();
+  EXPECT_EQ(r.diagnostics().front().rule, "equiv.output-diverges");
+  EXPECT_EQ(r.diagnostics().front().message,
+            "output 'count[2]' (index 2) diverges at cycle 10, pattern 3; revised cone: "
+            "14 nodes / 1 supporting inputs");
+  EXPECT_EQ(ctx.report().counter("verify.equiv.vectors"), 64 * 11);  // cycles 0..10
 }
 
 TEST(Equiv, EquivalentNetlistsPass) {

@@ -15,7 +15,7 @@
 
 namespace vpga::fabriclint {
 
-inline constexpr std::array<std::string_view, 22> kLintCatalogue = {
+inline constexpr std::array<std::string_view, 18> kLintCatalogue = {
     // Determinism (all walked trees).
     "det.unordered-iter",
     "det.raw-rng",
@@ -23,12 +23,6 @@ inline constexpr std::array<std::string_view, 22> kLintCatalogue = {
     "det.wall-clock",
     "det.float-accum",
     "det.iter-invalidation",
-    // Performance (semantic engine + dataflow, src/ only; the hot-loop rules
-    // additionally gate on the BENCH_flow.json hotness score).
-    "perf.map-in-hot-loop",
-    "perf.growth-in-loop",
-    "perf.copy-heavy-param",
-    "perf.alloc-in-hot-loop",
     // Lifetime (semantic engine + dataflow, src/ only).
     "lifetime.dangling-local",
     // Library I/O discipline (src/ only).

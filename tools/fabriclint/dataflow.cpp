@@ -13,7 +13,7 @@ bool is_punct(const Token& t, std::string_view text) {
 }
 
 /// Head type idents the dataflow pass attributes declarations to. CamelCase
-/// project class names are accepted separately in type_head_at().
+/// project class names are accepted separately in type_end_at().
 const std::set<std::string_view>& known_type_heads() {
   static const std::set<std::string_view> t = {
       "map",    "unordered_map", "multimap", "unordered_multimap",
@@ -94,8 +94,6 @@ class DataflowAnalyzer {
     recover_lambdas();
     recover_loops();
     collect_locals();
-    mark_run_once_lambdas();
-    collect_defs_and_uses();
     return std::move(df_);
   }
 
@@ -104,12 +102,11 @@ class DataflowAnalyzer {
 
   /// Attempts to read a declaration's type at token index i. On success
   /// returns the index of the first modifier/name token after the (possibly
-  /// templated) type and fills `head`; 0 on failure.
-  std::size_t type_head_at(std::size_t i, std::string& head) const {
+  /// templated) type; 0 on failure.
+  std::size_t type_end_at(std::size_t i) const {
     const auto& t = toks();
     if (t[i].kind != TokKind::kIdent) return 0;
     if (known_type_heads().count(t[i].text) == 0 && !camel_case(t[i].text)) return 0;
-    head = t[i].text;
     std::size_t j = i + 1;
     if (j < t.size() && is_punct(t[j], "<")) {
       const std::size_t a = match_angle(t, j);
@@ -130,8 +127,7 @@ class DataflowAnalyzer {
                          (i + 1 < end && t[i].kind == TokKind::kIdent &&
                           is_punct(t[i + 1], "::"))))
         i += is_punct(t[i + 1 < end ? i + 1 : i], "::") && !decl_qualifier(t[i]) ? 2 : 1;
-      std::string head;
-      std::size_t j = i < end ? type_head_at(i, head) : 0;
+      std::size_t j = i < end ? type_end_at(i) : 0;
       if (j == 0 || j > end) {
         // Not a recognized declaration: skip to the next top-level comma.
         while (i < end && !is_punct(t[i], ",")) {
@@ -152,8 +148,7 @@ class DataflowAnalyzer {
         ++j;
       }
       if (j < end && t[j].kind == TokKind::kIdent)
-        df_.vars.push_back({t[j].text, head, j, t[j].line, true, ref,
-                            j + 1 < end && is_punct(t[j + 1], "["), false});
+        df_.vars.push_back({t[j].text, j, t[j].line, true, ref, false});
       i = j;
       while (i < end && !is_punct(t[i], ",")) {
         if (is_punct(t[i], "(") || is_punct(t[i], "[") || is_punct(t[i], "{")) {
@@ -193,19 +188,7 @@ class DataflowAnalyzer {
       if (j >= fn_.body_end || !is_punct(t[j], "{")) continue;
       const std::size_t body_close = close_[j];
       if (body_close == std::string::npos || body_close >= fn_.body_end) continue;
-      df_.lambda_bodies.push_back({i, j, body_close + 1, false});
-    }
-  }
-
-  /// Marks lambdas that immediately initialize a static local — `static T x
-  /// = []{...}()` runs its body exactly once. Needs collect_locals() done.
-  void mark_run_once_lambdas() {
-    const auto& t = toks();
-    for (const VarDef& v : df_.vars) {
-      if (!v.is_static || v.tok + 2 >= fn_.body_end) continue;
-      if (!is_punct(t[v.tok + 1], "=") || !is_punct(t[v.tok + 2], "[")) continue;
-      for (LambdaBody& l : df_.lambda_bodies)
-        if (l.cap_tok == v.tok + 2) l.run_once = true;
+      df_.lambda_bodies.push_back({j, body_close + 1});
     }
   }
 
@@ -232,13 +215,6 @@ class DataflowAnalyzer {
       if (loop.body_end == 0) continue;
       df_.loops.push_back(std::move(loop));
     }
-    // Nesting depth: the number of previously recovered loops (token order =
-    // outer before inner) whose body encloses this loop's header.
-    for (std::size_t a = 0; a < df_.loops.size(); ++a)
-      for (std::size_t b = 0; b < a; ++b)
-        if (df_.loops[b].body_begin <= df_.loops[a].header_tok &&
-            df_.loops[a].header_tok < df_.loops[b].body_end)
-          ++df_.loops[a].depth;
   }
 
   /// Fills body_begin/body_end with the statement after the loop header.
@@ -303,17 +279,6 @@ class DataflowAnalyzer {
       loop.range_expr += is_punct(t[k], "->") ? "." : t[k].text;
   }
 
-  /// Block depth of a token relative to the function body (0 = top level).
-  int block_depth(std::size_t tok) const {
-    const auto& t = toks();
-    int depth = 0;
-    for (std::size_t k = fn_.body_begin + 1; k < tok && k + 1 < fn_.body_end; ++k) {
-      if (is_punct(t[k], "{")) ++depth;
-      if (is_punct(t[k], "}")) --depth;
-    }
-    return depth < 0 ? 0 : depth;
-  }
-
   void collect_locals() {
     const auto& t = toks();
     for (std::size_t i = fn_.body_begin + 1; i + 1 < fn_.body_end; ++i) {
@@ -342,8 +307,7 @@ class DataflowAnalyzer {
                                 is_punct(prev, "}") || is_punct(prev, "(");
         if (!stmt_start) continue;
       }
-      std::string head;
-      const std::size_t after_type = type_head_at(i, head);
+      const std::size_t after_type = type_end_at(i);
       if (after_type == 0 || after_type + 1 >= fn_.body_end) continue;
       std::size_t j = after_type;
       bool ref = false;
@@ -360,38 +324,8 @@ class DataflowAnalyzer {
                                   is_punct(next, ":") || is_punct(next, ")");
       if (!declarator_end) continue;
       if (df_.var(t[j].text) != nullptr) continue;  // first declaration wins
-      df_.vars.push_back(
-          {t[j].text, head, j, t[j].line, false, ref, is_punct(next, "["), is_static});
-      // A declaration with an initializer is the variable's first def.
-      if (is_punct(next, "=") || is_punct(next, "{") || is_punct(next, "(") ||
-          is_punct(next, ":"))
-        df_.defs.push_back({t[j].text, j, t[j].line, block_depth(j)});
+      df_.vars.push_back({t[j].text, j, t[j].line, false, ref, is_static});
       i = j;
-    }
-  }
-
-  void collect_defs_and_uses() {
-    const auto& t = toks();
-    for (std::size_t i = fn_.body_begin + 1; i + 1 < fn_.body_end; ++i) {
-      if (t[i].kind != TokKind::kIdent) continue;
-      const VarDef* v = df_.var(t[i].text);
-      if (v == nullptr || v->tok == i) continue;  // untracked or the decl itself
-      if (i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->") ||
-                    is_punct(t[i - 1], "::")))
-        continue;  // member/scope access: not this variable
-      const bool assign = i + 1 < fn_.body_end && is_punct(t[i + 1], "=");
-      const bool compound =
-          i + 1 < fn_.body_end &&
-          (is_punct(t[i + 1], "+=") || is_punct(t[i + 1], "-=") ||
-           is_punct(t[i + 1], "*=") || is_punct(t[i + 1], "/=") ||
-           is_punct(t[i + 1], "|=") || is_punct(t[i + 1], "&=") ||
-           is_punct(t[i + 1], "++") || is_punct(t[i + 1], "--"));
-      const bool incdec_pre =
-          i > 0 && (is_punct(t[i - 1], "++") || is_punct(t[i - 1], "--"));
-      if (assign || compound || incdec_pre)
-        df_.defs.push_back({t[i].text, i, t[i].line, block_depth(i)});
-      if (!assign)  // plain `=` kills without reading; compound ops read too
-        df_.uses.push_back({t[i].text, i, t[i].line});
     }
   }
 
@@ -405,35 +339,6 @@ class DataflowAnalyzer {
 
 FunctionDataflow analyze_dataflow(const TuSymbols& tu, const FunctionInfo& fn) {
   return DataflowAnalyzer(tu, fn).run();
-}
-
-std::vector<Def> reaching_defs(const FunctionDataflow& df, const Use& use) {
-  // Last unconditional def before the use kills everything earlier; the
-  // conditional defs after it accumulate (lossy CFG: a nested block may not
-  // execute).
-  std::size_t kill = std::string::npos;
-  for (const Def& d : df.defs)
-    if (d.name == use.name && d.tok < use.tok && d.block_depth == 0) kill = d.tok;
-  std::vector<Def> out;
-  for (const Def& d : df.defs) {
-    if (d.name != use.name || d.tok >= use.tok) continue;
-    if (kill != std::string::npos && d.tok < kill) continue;
-    out.push_back(d);
-  }
-  return out;
-}
-
-bool reserve_dominates(const TuSymbols& tu, const FunctionInfo& fn,
-                       std::string_view container, const LoopInfo& loop) {
-  const auto& t = tu.lexed.tokens;
-  for (std::size_t i = fn.body_begin + 1; i < loop.header_tok && i + 1 < fn.body_end;
-       ++i) {
-    if (!is_ident(t[i], "reserve")) continue;
-    if (i == 0 || !(is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"))) continue;
-    if (i + 1 >= fn.body_end || !is_punct(t[i + 1], "(")) continue;
-    if (receiver_chain(t, i) == container) return true;
-  }
-  return false;
 }
 
 std::string receiver_chain(const std::vector<Token>& toks, std::size_t callee_tok) {

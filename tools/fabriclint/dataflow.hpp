@@ -3,18 +3,14 @@
 /// Per-function dataflow layer for fabriclint v3, built on the body token
 /// ranges recorded by symbols.hpp.
 ///
-/// analyze_dataflow() recovers the loop structure of one function body
-/// (for / while / do-while / range-for, with nesting depth and — for
-/// range-for — the normalized range expression), collects the local and
-/// parameter variable definitions whose head type the C++ subset can name
-/// (containers, fundamental types, project class names via `auto` stays
-/// `auto`), and builds the def/use chains the perf.* and lifetime.* rules
-/// walk: every write to a variable is a Def, every read a Use, and
-/// reaching_defs() answers which writes can reach a given use under the
-/// lossy CFG (an unconditional top-level write kills everything before it;
-/// writes inside nested blocks are conditional and accumulate). Like the
-/// rest of the semantic engine, anything the subset cannot resolve degrades
-/// to silence, not to false findings.
+/// analyze_dataflow() recovers the loop structure of one function body (for
+/// / while / do-while / range-for, with each range-for's normalized range
+/// expression), which det.iter-invalidation walks, plus the lambda bodies and
+/// the local and parameter declarations whose head type the C++ subset can
+/// name (containers, fundamental types, project class names, `auto`), which
+/// lifetime.dangling-local reads. Like the rest of the semantic engine,
+/// anything the subset cannot resolve degrades to silence, not to false
+/// findings.
 
 #include <cstddef>
 #include <string>
@@ -31,7 +27,6 @@ struct LoopInfo {
   std::size_t body_begin = 0;  ///< first token index of the loop body
   std::size_t body_end = 0;    ///< one past the last body token
   int line = 0;
-  int depth = 0;          ///< 0 = outermost loop in this function
   bool range_for = false;
   /// Normalized range expression of a range-for (`->` folded to `.`,
   /// whitespace-free concatenation): "tiles", "nl.nodes()", ...
@@ -41,46 +36,23 @@ struct LoopInfo {
 /// One variable the dataflow pass could attribute a declaration to.
 struct VarDef {
   std::string name;
-  std::string type_head;  ///< head type ident: map, vector, int, auto, ...
-  std::size_t tok = 0;    ///< token index of the declared name
+  std::size_t tok = 0;  ///< token index of the declared name
   int line = 0;
   bool is_param = false;
   bool is_reference = false;  ///< `&`/`*` between type and name
-  bool is_array = false;      ///< declarator followed by `[`
   bool is_static = false;     ///< `static` local (outlives the call)
 };
 
-/// One write to a tracked variable (declaration-with-init or assignment).
-struct Def {
-  std::string name;
-  std::size_t tok = 0;
-  int line = 0;
-  int block_depth = 0;  ///< 0 = function-body top level (unconditional)
-};
-
-/// One read of a tracked variable.
-struct Use {
-  std::string name;
-  std::size_t tok = 0;
-  int line = 0;
-};
-
-/// One lambda literal inside a function body. `run_once` marks the
-/// immediately-invoked initializer of a static local (`static T x = []{...}()`)
-/// — its body executes exactly once, so hot-loop rules skip it.
+/// One lambda literal inside a function body.
 struct LambdaBody {
-  std::size_t cap_tok = 0;  ///< token index of the capture `[`
-  std::size_t begin = 0;    ///< token index of the body `{`
-  std::size_t end = 0;      ///< one past the body `}`
-  bool run_once = false;
+  std::size_t begin = 0;  ///< token index of the body `{`
+  std::size_t end = 0;    ///< one past the body `}`
 };
 
 /// The dataflow facts for one function definition.
 struct FunctionDataflow {
   std::vector<LoopInfo> loops;
   std::vector<VarDef> vars;
-  std::vector<Def> defs;  ///< in token order
-  std::vector<Use> uses;  ///< in token order
   /// Lambda literal bodies inside the function body — a `return` in one of
   /// these leaves the lambda, not the function.
   std::vector<LambdaBody> lambda_bodies;
@@ -96,38 +68,10 @@ struct FunctionDataflow {
       if (l.begin <= tok && tok < l.end) return true;
     return false;
   }
-
-  [[nodiscard]] bool in_run_once_lambda(std::size_t tok) const {
-    for (const LambdaBody& l : lambda_bodies)
-      if (l.run_once && l.begin <= tok && tok < l.end) return true;
-    return false;
-  }
-
-  /// The innermost loop whose body contains `tok`; nullptr when none does.
-  [[nodiscard]] const LoopInfo* innermost_loop(std::size_t tok) const {
-    const LoopInfo* best = nullptr;
-    for (const LoopInfo& l : loops)
-      if (l.body_begin < tok && tok < l.body_end &&
-          (best == nullptr || l.body_begin > best->body_begin))
-        best = &l;
-    return best;
-  }
 };
 
 /// Builds the dataflow facts for `fn` (a definition) in `tu`.
 FunctionDataflow analyze_dataflow(const TuSymbols& tu, const FunctionInfo& fn);
-
-/// The defs of `use.name` that can reach `use` under the lossy CFG: the last
-/// unconditional (block_depth == 0) def before the use, plus every
-/// conditional def between that def and the use. Empty when the variable is
-/// never written before the use (e.g. a parameter).
-std::vector<Def> reaching_defs(const FunctionDataflow& df, const Use& use);
-
-/// True when a `container.reserve(...)` call lexically precedes
-/// `loop.header_tok` inside `fn`'s body — the conservative
-/// "reserve dominates the loop" test perf.growth-in-loop keys on.
-bool reserve_dominates(const TuSymbols& tu, const FunctionInfo& fn,
-                       std::string_view container, const LoopInfo& loop);
 
 /// Normalized receiver chain of a member call: for the callee ident at
 /// `callee_tok` (whose predecessor is `.` or `->`), walks the

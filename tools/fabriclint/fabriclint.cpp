@@ -1,7 +1,6 @@
 #include "fabriclint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -490,62 +489,24 @@ std::vector<Finding> check_header_self_contained(const std::string& header_path,
            "header does not compile standalone: " + first_error}};
 }
 
-namespace {
-
-/// Fixed-precision hotness rendering keeps the documents byte-stable for a
-/// fixed profile.
-std::string hotness_str(double h) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.4f", h);
-  return buf;
-}
-
-void append_finding_json(std::string& out, const Finding& f) {
-  out += "{\"file\": ";
-  obs::json::append_string(out, f.file);
-  out += ", \"line\": " + std::to_string(f.line) + ", \"rule\": ";
-  obs::json::append_string(out, f.rule);
-  out += ", \"hotness\": " + hotness_str(f.hotness) + ", \"message\": ";
-  obs::json::append_string(out, f.message);
-  out += "}";
-}
-
-}  // namespace
-
 std::string findings_json(const std::vector<Finding>& findings, long long elapsed_ms) {
-  std::string out = "{\"schema\": \"vpga.fabriclint.v3\", \"total\": " +
+  std::string out = "{\"schema\": \"vpga.fabriclint.v4\", \"total\": " +
                     std::to_string(findings.size()) + ", \"findings\": [";
   bool first = true;
   for (const Finding& f : findings) {
     if (!first) out += ", ";
     first = false;
-    append_finding_json(out, f);
+    out += "{\"file\": ";
+    obs::json::append_string(out, f.file);
+    out += ", \"line\": " + std::to_string(f.line) + ", \"rule\": ";
+    obs::json::append_string(out, f.rule);
+    out += ", \"message\": ";
+    obs::json::append_string(out, f.message);
+    out += "}";
   }
   out += "]";
   if (elapsed_ms >= 0) out += ", \"elapsed_ms\": " + std::to_string(elapsed_ms);
   out += "}";
-  return out;
-}
-
-std::string perf_report_json(std::vector<Finding> worklist,
-                             std::string_view profile_path) {
-  std::sort(worklist.begin(), worklist.end(), [](const Finding& a, const Finding& b) {
-    if (a.hotness != b.hotness) return a.hotness > b.hotness;
-    if (a.file != b.file) return a.file < b.file;
-    if (a.line != b.line) return a.line < b.line;
-    if (a.rule != b.rule) return a.rule < b.rule;
-    return a.message < b.message;
-  });
-  std::string out = "{\"schema\": \"vpga.fabriclint.perf.v1\", \"profile\": ";
-  obs::json::append_string(out, profile_path);
-  out += ", \"total\": " + std::to_string(worklist.size()) + ", \"findings\": [";
-  bool first = true;
-  for (const Finding& f : worklist) {
-    if (!first) out += ", ";
-    first = false;
-    append_finding_json(out, f);
-  }
-  out += "]}";
   return out;
 }
 

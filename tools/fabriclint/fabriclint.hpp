@@ -19,15 +19,12 @@
 
 namespace vpga::fabriclint {
 
-/// One finding. `file` is repo-relative with forward slashes. `hotness` is
-/// the profile-guided score of the enclosing function in [0, 1] (0 when no
-/// profile was loaded or the rule is not hotness-aware; hotness.hpp).
+/// One finding. `file` is repo-relative with forward slashes.
 struct Finding {
   std::string file;
   int line = 0;
   std::string rule;
   std::string message;
-  double hotness = 0.0;
 };
 
 /// Canonical observability names parsed from src/obs/names.hpp.
@@ -80,22 +77,8 @@ struct SourceFile {
   std::string content;
 };
 
-struct StageProfile;  // hotness.hpp
-
 /// Options for the semantic engine (fabriclint v3).
 struct ProjectOptions {
-  /// Aggregated BENCH_flow.json stage timings; null = no profile, which
-  /// silences the hotness-gated perf rules (they still feed perf_worklist
-  /// with hotness 0).
-  const StageProfile* profile = nullptr;
-  /// Minimum hotness score for perf.map-in-hot-loop / perf.alloc-in-hot-loop
-  /// / perf.growth-in-loop to surface as regular findings. 0.4 puts the cut
-  /// between functions reached from the dominant flow stages (pack/compact
-  /// score ≳0.45 on the committed profile) and the long tail.
-  double hot_threshold = 0.4;
-  /// When non-null, receives every perf.* finding ungated and unsuppressed,
-  /// hotness attached — the --perf-report worklist.
-  std::vector<Finding>* perf_worklist = nullptr;
   /// Worker threads for the per-TU analysis phase (results are merged in
   /// file order, so output is independent of scheduling).
   std::size_t jobs = 1;
@@ -103,29 +86,22 @@ struct ProjectOptions {
 
 /// The semantic engine (fabriclint v3): analyzes every file with
 /// symbols.hpp, builds the interprocedural call graph (callgraph.hpp) plus
-/// per-function dataflow (dataflow.hpp) and hotness scores (hotness.hpp),
-/// and runs the project-wide rules — conc.unguarded-access, conc.lock-order,
-/// conc.unjoined-thread, flow.dropped-report, det.float-accum,
-/// det.iter-invalidation, the transitive extension of io.stray-stream, the
-/// perf.* family and lifetime.dangling-local. Complements the per-TU token
-/// rules of lint_source(); suppression directives apply identically.
+/// per-function dataflow (dataflow.hpp), and runs the project-wide rules —
+/// conc.unguarded-access, conc.lock-order, conc.unjoined-thread,
+/// flow.dropped-report, det.float-accum, det.iter-invalidation, the
+/// transitive extension of io.stray-stream and lifetime.dangling-local.
+/// Complements the per-TU token rules of lint_source(); suppression
+/// directives apply identically.
 std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
                                   const ProjectOptions& options);
 std::vector<Finding> lint_project(const std::vector<SourceFile>& files);
 
-/// Renders findings as a JSON document (schema vpga.fabriclint.v3), parseable
+/// Renders findings as a JSON document (schema vpga.fabriclint.v4), parseable
 /// by obs/json.hpp — {"schema", "total", "findings":
-/// [{file,line,rule,hotness,message}]}. A non-negative `elapsed_ms` adds the
+/// [{file,line,rule,message}]}. A non-negative `elapsed_ms` adds the
 /// linter's own wall-clock to the footer.
 std::string findings_json(const std::vector<Finding>& findings,
                           long long elapsed_ms = -1);
-
-/// Renders the hotness-ranked perf worklist (schema vpga.fabriclint.perf.v1):
-/// findings sorted by hotness descending, then (file, line, rule, message) —
-/// deterministic for a fixed profile. `profile_path` names the profile the
-/// scores came from ("" = none).
-std::string perf_report_json(std::vector<Finding> worklist,
-                             std::string_view profile_path);
 
 /// Stable output order: (file, line, rule, message).
 void sort_findings(std::vector<Finding>& findings);

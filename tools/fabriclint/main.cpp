@@ -5,28 +5,21 @@
 ///
 /// Usage:
 ///   fabriclint [--root DIR] [--json FILE|-] [--headers [COMPILER]]
-///              [--only PREFIX] [--jobs N] [--profile FILE]
-///              [--perf-report FILE|-] [--max-elapsed-ms N] [DIR...]
+///              [--only PREFIX] [--jobs N] [--max-elapsed-ms N] [DIR...]
 ///
 /// DIR... are lint roots relative to --root (default: src bench examples).
 /// Per-file token rules run on a worker pool (--jobs, default hardware
 /// concurrency clamped to the file count); findings are merged in file order
 /// and sorted, so output is byte-stable regardless of scheduling. The
-/// semantic pass (symbol tables, call graph, dataflow, conc.*/flow.*/perf.*
-/// rules) then runs over src/ as one project, on the same pool.
+/// semantic pass (symbol tables, call graph, dataflow, conc.*/flow.*/
+/// lifetime.* rules) then runs over src/ as one project, on the same pool.
 /// --only keeps only findings whose rule id starts with PREFIX (e.g.
 /// `--only conc.` for CI's static-race cross-check). --headers additionally
 /// compiles every src/**/*.hpp standalone (hdr.self-contained); the same
 /// property is enforced at build time by the vpga_header_selfcheck target,
-/// so CI's fabriclint job runs without it.
-///
-/// Profile-guided mode (docs/LINT.md "Profile-guided lint"): --profile names
-/// a BENCH_flow.json document; when absent, <root>/BENCH_flow.json is loaded
-/// automatically if present. With a profile, the hot-loop perf rules gate on
-/// the per-function hotness score and --perf-report emits the full
-/// hotness-ranked perf worklist. --max-elapsed-ms makes the linter fail its
-/// own runtime budget (the fabriclint ctest passes a generous cap so a
-/// pathological slowdown of the linter itself fails CI).
+/// so CI's fabriclint job runs without it. --max-elapsed-ms makes the linter
+/// fail its own runtime budget (the fabriclint ctest passes a generous cap so
+/// a pathological slowdown of the linter itself fails CI).
 
 #include <algorithm>
 #include <atomic>
@@ -41,7 +34,6 @@
 #include <vector>
 
 #include "fabriclint.hpp"
-#include "hotness.hpp"
 
 namespace {
 
@@ -69,8 +61,6 @@ int main(int argc, char** argv) {
   bool headers = false;
   std::string compiler = "c++";
   std::string only_prefix;
-  std::string profile_arg;
-  std::string perf_report_out;
   long long max_elapsed_ms = -1;
   std::size_t jobs = std::max(1u, std::thread::hardware_concurrency());
   std::vector<std::string> dirs;
@@ -85,10 +75,6 @@ int main(int argc, char** argv) {
       only_prefix = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
       jobs = std::max(1ul, std::stoul(argv[++i]));
-    } else if (arg == "--profile" && i + 1 < argc) {
-      profile_arg = argv[++i];
-    } else if (arg == "--perf-report" && i + 1 < argc) {
-      perf_report_out = argv[++i];
     } else if (arg == "--max-elapsed-ms" && i + 1 < argc) {
       max_elapsed_ms = std::stoll(argv[++i]);
     } else if (arg == "--headers") {
@@ -96,8 +82,7 @@ int main(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '-') compiler = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: fabriclint [--root DIR] [--json FILE|-] [--headers [CXX]] "
-                   "[--only PREFIX] [--jobs N] [--profile FILE] "
-                   "[--perf-report FILE|-] [--max-elapsed-ms N] [DIR...]\n";
+                   "[--only PREFIX] [--jobs N] [--max-elapsed-ms N] [DIR...]\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "fabriclint: unknown option " << arg << "\n";
@@ -119,29 +104,6 @@ int main(int argc, char** argv) {
   vpga::fabriclint::ObsRegistry registry;
   const fs::path names = root / "src" / "obs" / "names.hpp";
   if (fs::exists(names)) registry = vpga::fabriclint::parse_obs_registry(read_file(names));
-
-  // The flow profile: --profile wins; otherwise the committed
-  // <root>/BENCH_flow.json snapshot is picked up automatically. An explicit
-  // --profile that fails to load is an error; the implicit one degrades to
-  // unprofiled linting.
-  vpga::fabriclint::StageProfile profile;
-  std::string profile_path;
-  {
-    const fs::path implicit = root / "BENCH_flow.json";
-    const fs::path chosen = profile_arg.empty() ? implicit : fs::path(profile_arg);
-    if (!profile_arg.empty() || fs::exists(implicit)) {
-      std::string perr;
-      if (!vpga::fabriclint::load_flow_profile(read_file(chosen), profile, &perr)) {
-        if (!profile_arg.empty()) {
-          std::cerr << "fabriclint: bad --profile " << chosen.string() << ": " << perr
-                    << "\n";
-          return 2;
-        }
-      } else {
-        profile_path = rel_slash(chosen, root);
-      }
-    }
-  }
 
   // Deterministic file order regardless of directory enumeration order.
   std::vector<fs::path> files;
@@ -188,25 +150,11 @@ int main(int argc, char** argv) {
   std::vector<vpga::fabriclint::SourceFile> lib_sources;
   for (const auto& s : sources)
     if (s.rel_path.rfind("src/", 0) == 0) lib_sources.push_back(s);
-  std::vector<Finding> perf_worklist;
   if (!lib_sources.empty()) {
     vpga::fabriclint::ProjectOptions popts;
-    popts.profile = profile.loaded ? &profile : nullptr;
-    popts.perf_worklist = perf_report_out.empty() ? nullptr : &perf_worklist;
     popts.jobs = nworkers;
     auto sem = vpga::fabriclint::lint_project(lib_sources, popts);
     findings.insert(findings.end(), sem.begin(), sem.end());
-  }
-
-  if (!perf_report_out.empty()) {
-    const std::string doc =
-        vpga::fabriclint::perf_report_json(std::move(perf_worklist), profile_path);
-    if (perf_report_out == "-") {
-      std::cout << doc << "\n";
-    } else {
-      std::ofstream out(perf_report_out, std::ios::binary);
-      out << doc << "\n";
-    }
   }
 
   // Tree-level rule/doc sync: the verify catalogue and fabriclint's own.

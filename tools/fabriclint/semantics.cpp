@@ -1,15 +1,13 @@
 /// \file semantics.cpp
 /// lint_project(): the project-wide rule passes of fabriclint v3, built on
 /// the per-TU symbol tables (symbols.hpp), the interprocedural call graph
-/// (callgraph.hpp), the per-function dataflow facts (dataflow.hpp) and the
-/// profile-guided hotness scores (hotness.hpp). Every rule here degrades to
-/// silence when the C++ subset cannot resolve something — over-reporting
-/// would make the lint gate unusable, and the dynamic TSan CI job backstops
-/// what the subset misses.
+/// (callgraph.hpp) and the per-function dataflow facts (dataflow.hpp). Every
+/// rule here degrades to silence when the C++ subset cannot resolve
+/// something — over-reporting would make the lint gate unusable, and the
+/// dynamic TSan CI job backstops what the subset misses.
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
@@ -22,7 +20,6 @@
 #include "callgraph.hpp"
 #include "dataflow.hpp"
 #include "fabriclint.hpp"
-#include "hotness.hpp"
 #include "symbols.hpp"
 
 namespace vpga::fabriclint {
@@ -65,10 +62,6 @@ class SemanticLinter {
       for (const ClassInfo& c : tu.classes)
         if (classes_.count(c.name) == 0) classes_.emplace(c.name, &c);
     graph_.emplace(tus_);
-    if (opts_.profile != nullptr)
-      hotness_ = hotness_scores(*graph_, *opts_.profile);
-    else
-      hotness_.assign(static_cast<std::size_t>(graph_->function_count()), 0.0);
   }
 
   std::vector<Finding> run() {
@@ -86,11 +79,9 @@ class SemanticLinter {
  private:
   const CallGraph& graph() const { return *graph_; }
 
-  void add(const TuSymbols& tu, int line, std::string rule, std::string message,
-           double hotness = 0.0) {
+  void add(const TuSymbols& tu, int line, std::string rule, std::string message) {
     if (tu.is_suppressed(line, rule)) return;
-    findings_.push_back(
-        {tu.rel_path, line, std::move(rule), std::move(message), hotness});
+    findings_.push_back({tu.rel_path, line, std::move(rule), std::move(message)});
   }
 
   /// True when `fn` holds `mutex` at token index `at` via a lexically
@@ -397,74 +388,8 @@ class SemanticLinter {
   }
 
   // ---------------------------------------------------------------------
-  // Dataflow rules: perf.*, lifetime.dangling-local, det.iter-invalidation
+  // Dataflow rules: lifetime.dangling-local, det.iter-invalidation
   // ---------------------------------------------------------------------
-
-  static const std::set<std::string_view>& map_types() {
-    static const std::set<std::string_view> t = {"map", "unordered_map", "multimap",
-                                                 "unordered_multimap"};
-    return t;
-  }
-  static const std::set<std::string_view>& growable_types() {
-    static const std::set<std::string_view> t = {"vector", "deque", "string"};
-    return t;
-  }
-  static const std::set<std::string_view>& container_types() {
-    static const std::set<std::string_view> t = {
-        "map",    "unordered_map", "multimap", "unordered_multimap",
-        "set",    "unordered_set", "vector",   "deque",
-        "list",   "string"};
-    return t;
-  }
-  /// Aggregates big enough that a by-value parameter is a deep copy worth a
-  /// finding (netlists, libraries and the flow/verify reports).
-  static const std::set<std::string_view>& heavy_types() {
-    static const std::set<std::string_view> t = {
-        "Netlist",     "Aig",           "CellLibrary",      "CutDatabase",
-        "VerifyReport", "BenchmarkDesign", "CompactionResult", "MapResult",
-        "PackedDesign", "Placement",     "RoutingResult",    "FlowReport"};
-    return t;
-  }
-
-  /// Resolves the head type of a receiver chain: a tracked local/param, or a
-  /// container member of the enclosing class (`this.` prefix tolerated).
-  /// Returns "" when unresolved; `var_out` gets the VarDef when it was one.
-  std::string receiver_type(const FunctionDataflow& df, const FunctionInfo& fn,
-                            std::string chain, const VarDef** var_out) const {
-    *var_out = nullptr;
-    if (chain.rfind("this.", 0) == 0) chain = chain.substr(5);
-    if (chain.empty() || chain.find('.') != std::string::npos) return {};
-    if (const VarDef* v = df.var(chain); v != nullptr) {
-      *var_out = v;
-      return v->type_head;
-    }
-    if (!fn.class_name.empty()) {
-      const auto cit = classes_.find(fn.class_name);
-      if (cit != classes_.end()) {
-        const auto fit = cit->second->container_fields.find(chain);
-        if (fit != cit->second->container_fields.end()) return fit->second;
-      }
-    }
-    return {};
-  }
-
-  /// Emits a hotness-gated perf finding: always recorded on the worklist,
-  /// surfaced as a regular finding only when a profile is loaded and the
-  /// enclosing function is hot enough.
-  void add_perf(const TuSymbols& tu, int line, std::string rule, std::string message,
-                double hotness, bool gated) {
-    if (tu.is_suppressed(line, rule)) return;
-    if (opts_.perf_worklist != nullptr)
-      opts_.perf_worklist->push_back({tu.rel_path, line, rule, message, hotness});
-    if (gated && (opts_.profile == nullptr || hotness < opts_.hot_threshold)) return;
-    findings_.push_back({tu.rel_path, line, std::move(rule), std::move(message), hotness});
-  }
-
-  static std::string hot_tag(double hotness) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", hotness);
-    return std::string(" (hotness ") + buf + ")";
-  }
 
   void check_dataflow_rules() {
     for (int i = 0; i < graph().function_count(); ++i) {
@@ -472,27 +397,9 @@ class SemanticLinter {
       const TuSymbols& tu = graph().tu_of(i);
       if (!in_src(tu.rel_path) || !fn.is_definition) continue;
       const FunctionDataflow df = analyze_dataflow(tu, fn);
-      const double hot = hotness_[static_cast<std::size_t>(i)];
-      check_copy_heavy_param(tu, fn, df);
       check_dangling_local(tu, fn, df);
-      check_loop_perf(tu, fn, df, hot);
       for (const LoopInfo& loop : df.loops)
-        if (loop.range_for) check_iter_invalidation(tu, fn, loop);
-    }
-  }
-
-  // perf.copy-heavy-param ------------------------------------------------
-
-  void check_copy_heavy_param(const TuSymbols& tu, const FunctionInfo& fn,
-                              const FunctionDataflow& df) {
-    for (const VarDef& v : df.vars) {
-      if (!v.is_param || v.is_reference || heavy_types().count(v.type_head) == 0)
-        continue;
-      add(tu, v.line, "perf.copy-heavy-param",
-          "parameter '" + v.name + "' passes " + v.type_head +
-              " by value into '" + fn.name +
-              "'; take const& (or std::move at every call site) — deep-copying "
-              "netlist-sized aggregates dominates small-stage runtimes");
+        if (loop.range_for) check_iter_invalidation(tu, loop);
     }
   }
 
@@ -517,114 +424,9 @@ class SemanticLinter {
     }
   }
 
-  // perf.map-in-hot-loop / perf.alloc-in-hot-loop / perf.growth-in-loop --
-
-  /// Single scan over the function body: each candidate site is attributed
-  /// to its *innermost* enclosing loop (so nested loops report once, not once
-  /// per level), and sites inside run-once static-initializer lambdas are
-  /// skipped — those bodies execute exactly once regardless of hotness.
-  void check_loop_perf(const TuSymbols& tu, const FunctionInfo& fn,
-                       const FunctionDataflow& df, double hot) {
-    static const std::set<std::string_view> lookup_names = {
-        "find", "at", "count", "contains", "lower_bound", "upper_bound"};
-    const auto& t = tu.lexed.tokens;
-    std::set<std::string> grown;  // one growth finding per (container, loop)
-    for (std::size_t k = fn.body_begin + 1; k + 1 < fn.body_end; ++k) {
-      if (t[k].kind != TokKind::kIdent) continue;
-      const LoopInfo* loop = df.innermost_loop(k);
-      if (loop == nullptr || df.in_run_once_lambda(k)) continue;
-      // Node-based associative lookup through a tracked receiver.
-      if (lookup_names.count(t[k].text) > 0 && k >= 2 &&
-          (is_punct(t[k - 1], ".") || is_punct(t[k - 1], "->")) &&
-          is_punct(t[k + 1], "(")) {
-        const std::string chain = receiver_chain(t, k);
-        const VarDef* v = nullptr;
-        const std::string type = receiver_type(df, fn, chain, &v);
-        if (map_types().count(type) > 0)
-          add_perf(tu, t[k].line, "perf.map-in-hot-loop",
-                   "std::" + type + " lookup '" + chain + "." + t[k].text +
-                       "()' inside a loop of '" + fn.name + "'" + hot_tag(hot) +
-                       "; node-based lookups in hot loops thrash the cache — "
-                       "use a flat vector indexed by id (SoA roadmap)",
-                   hot, /*gated=*/true);
-        continue;
-      }
-      // operator[] on a tracked map (array-of-map declarators excluded).
-      if (is_punct(t[k + 1], "[") &&
-          !(k > 0 && (is_punct(t[k - 1], ".") || is_punct(t[k - 1], "->")))) {
-        const VarDef* v = nullptr;
-        const std::string type = receiver_type(df, fn, t[k].text, &v);
-        if (map_types().count(type) > 0 && (v == nullptr || !v->is_array))
-          add_perf(tu, t[k].line, "perf.map-in-hot-loop",
-                   "std::" + type + " operator[] on '" + t[k].text +
-                       "' inside a loop of '" + fn.name + "'" + hot_tag(hot) +
-                       "; node-based lookups in hot loops thrash the cache — "
-                       "use a flat vector indexed by id (SoA roadmap)",
-                   hot, /*gated=*/true);
-        continue;
-      }
-      // Growth into a container declared outside the loop with no dominating
-      // reserve. Only locals/params: growth into a loop-local container is
-      // covered by perf.alloc-in-hot-loop, and member containers may be
-      // reserved far away (ctor).
-      const bool grows =
-          (t[k].text == "push_back" || t[k].text == "emplace_back") && k >= 2 &&
-          (is_punct(t[k - 1], ".") || is_punct(t[k - 1], "->")) &&
-          is_punct(t[k + 1], "(");
-      if (grows) {
-        const std::string chain = receiver_chain(t, k);
-        const VarDef* v = nullptr;
-        const std::string type = receiver_type(df, fn, chain, &v);
-        if (v != nullptr && v->tok < loop->body_begin &&
-            (growable_types().count(type) > 0 || type == "auto") &&
-            !reserve_dominates(tu, fn, chain, *loop) &&
-            grown.insert(chain + "#" + std::to_string(loop->header_tok)).second)
-          add_perf(tu, t[k].line, "perf.growth-in-loop",
-                   "'" + chain + "." + t[k].text + "()' grows inside a loop of '" +
-                       fn.name + "'" + hot_tag(hot) + " with no dominating '" +
-                       chain +
-                       ".reserve(...)'; repeated geometric regrowth copies every "
-                       "element — reserve before the loop",
-                   hot, /*gated=*/true);
-        continue;
-      }
-      // Explicit allocation per iteration.
-      const bool alloc_call =
-          (t[k].text == "make_unique" || t[k].text == "make_shared") &&
-          (is_punct(t[k + 1], "(") || is_punct(t[k + 1], "<"));
-      if (t[k].text == "new" || alloc_call) {
-        add_perf(tu, t[k].line, "perf.alloc-in-hot-loop",
-                 "heap allocation ('" + t[k].text + "') inside a loop of '" +
-                     fn.name + "'" + hot_tag(hot) +
-                     "; hoist the allocation out of the loop or reuse a "
-                     "scratch buffer",
-                 hot, /*gated=*/true);
-      }
-    }
-    // A container local constructed with an initializer inside a loop body
-    // allocates every iteration.
-    for (const VarDef& v : df.vars) {
-      if (v.is_param || v.is_reference || v.is_static) continue;
-      if (container_types().count(v.type_head) == 0) continue;
-      const LoopInfo* loop = df.innermost_loop(v.tok);
-      if (loop == nullptr || df.in_run_once_lambda(v.tok)) continue;
-      const bool has_init = v.tok + 1 < fn.body_end &&
-                            (is_punct(t[v.tok + 1], "=") || is_punct(t[v.tok + 1], "{") ||
-                             is_punct(t[v.tok + 1], "("));
-      if (!has_init) continue;
-      add_perf(tu, v.line, "perf.alloc-in-hot-loop",
-               "std::" + v.type_head + " '" + v.name +
-                   "' constructed every iteration of a loop in '" + fn.name + "'" +
-                   hot_tag(hot) +
-                   "; hoist it out of the loop and clear() per iteration",
-               hot, /*gated=*/true);
-    }
-  }
-
   // det.iter-invalidation ------------------------------------------------
 
-  void check_iter_invalidation(const TuSymbols& tu, const FunctionInfo& fn,
-                               const LoopInfo& loop) {
+  void check_iter_invalidation(const TuSymbols& tu, const LoopInfo& loop) {
     static const std::set<std::string_view> mutators = {
         "push_back", "emplace_back", "insert", "emplace", "erase",
         "clear",     "resize",       "pop_back"};
@@ -648,7 +450,6 @@ class SemanticLinter {
   std::vector<TuSymbols> tus_;
   std::map<std::string, const ClassInfo*> classes_;
   std::optional<CallGraph> graph_;
-  std::vector<double> hotness_;
   std::map<int, std::set<std::string>> acquires_;
   std::vector<Finding> findings_;
 };

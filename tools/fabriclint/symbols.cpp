@@ -48,14 +48,6 @@ bool mutex_type_name(std::string_view t) {
          t == "timed_mutex" || t == "recursive_timed_mutex";
 }
 
-/// Container head-type idents the perf rules track for data members.
-bool container_type_name(std::string_view t) {
-  return t == "map" || t == "unordered_map" || t == "multimap" ||
-         t == "unordered_multimap" || t == "set" || t == "unordered_set" ||
-         t == "multiset" || t == "unordered_multiset" || t == "vector" ||
-         t == "deque" || t == "list" || t == "string";
-}
-
 /// Index one past the `>` matching the `<` at `open` (`>>` counts twice), or
 /// npos when it never closes before `;`/`{`.
 std::size_t match_angle(const std::vector<Token>& toks, std::size_t open) {
@@ -243,23 +235,6 @@ class TuAnalyzer {
           (i + 2 >= end || is_punct(t[i + 2], ";") || is_punct(t[i + 2], "=") ||
            is_ident(t[i + 2], "FABRIC_GUARDED_BY")))
         cls.mutexes.insert(t[i + 1].text);
-      // Container members: `map<...> name` / `vector<...> name` / `string
-      // name` — the head type ident, an optional template argument list, then
-      // the member name (perf rules resolve member receivers through these).
-      if (t[i].kind == TokKind::kIdent && container_type_name(t[i].text) && i + 1 < end) {
-        std::size_t j = i + 1;
-        if (is_punct(t[j], "<")) {
-          const std::size_t a = match_angle(t, j);
-          if (a == std::string::npos || a >= end) continue;
-          j = a;
-        }
-        if (j < end && t[j].kind == TokKind::kIdent &&
-            (j + 1 >= end || is_punct(t[j + 1], ";") || is_punct(t[j + 1], "=") ||
-             is_punct(t[j + 1], "{") || is_ident(t[j + 1], "FABRIC_GUARDED_BY"))) {
-          cls.container_fields.emplace(t[j].text, t[i].text);
-          i = j;
-        }
-      }
     }
   }
 

@@ -39,9 +39,6 @@ struct ClassInfo {
   std::string name;
   std::vector<FieldInfo> fields;
   std::set<std::string> mutexes;  ///< members of a *mutex type
-  /// Data members of container type the perf rules care about:
-  /// member name -> head type ident (map, unordered_map, vector, ...).
-  std::map<std::string, std::string> container_fields;
 };
 
 /// A mutex acquisition inside a function body. `tok` is the index of the
