@@ -6,14 +6,17 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "common/rng.hpp"
 #include "compact/compact.hpp"
 #include "compact/flowmap.hpp"
 #include "designs/designs.hpp"
 #include "logic/s3.hpp"
+#include "netlist/bitsim.hpp"
 #include "obs/events.hpp"
 #include "obs/memtrack.hpp"
 #include "obs/obs.hpp"
@@ -131,6 +134,42 @@ void BM_BddCec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddCec)->Arg(0)->Arg(1);
+
+// One eval() of the bit simulator's compiled lut3() program over the mapped
+// 4x16 switch, the verify_exact design whose proofs and random-stimulus
+// set-up run the simulator most; inputs and registers hold random words.
+//   0: 64 patterns per node (BitSimulator)
+//   1: 256 patterns per node (BasicBitSimulator<Word256>)
+template <class W>
+void bitsim_eval(benchmark::State& state, const netlist::Netlist& nl) {
+  common::Rng rng(1);
+  auto random_word = [&rng] {
+    if constexpr (std::is_same_v<W, std::uint64_t>) {
+      return rng.next_u64();
+    } else {
+      W w;
+      for (std::uint64_t& x : w.w) x = rng.next_u64();
+      return w;
+    }
+  };
+  netlist::BasicBitSimulator<W> sim(nl);
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i) sim.set_input(i, random_word());
+  for (std::size_t d = 0; d < nl.dffs().size(); ++d) sim.set_state(d, random_word());
+  for (auto _ : state) {
+    sim.eval();
+    benchmark::DoNotOptimize(sim.output(0));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(nl.num_nodes()));
+}
+
+void BM_BitSimEval(benchmark::State& state) {
+  const auto d = designs::make_network_switch(4, 16);
+  const auto mapped = synth::tech_map(
+      d.netlist, synth::cell_target(core::PlbArchitecture::granular()), synth::Objective::kDelay);
+  if (state.range(0) == 0) bitsim_eval<std::uint64_t>(state, mapped.netlist);
+  else bitsim_eval<netlist::Word256>(state, mapped.netlist);
+}
+BENCHMARK(BM_BitSimEval)->Arg(0)->Arg(1);
 
 void BM_FlowMapLabels(benchmark::State& state) {
   const auto nl = designs::make_ripple_adder(static_cast<int>(state.range(0)));

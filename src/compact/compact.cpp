@@ -11,6 +11,7 @@
 namespace vpga::compact {
 
 double gate_area(const netlist::Netlist& nl, const library::CellLibrary& lib) {
+  const auto& specs = core::config_specs(lib);
   double area = 0.0;
   for (netlist::NodeId id : nl.all_nodes()) {
     const auto& n = nl.node(id);
@@ -19,8 +20,7 @@ double gate_area(const netlist::Netlist& nl, const library::CellLibrary& lib) {
     switch (n.type) {
       case netlist::NodeType::kComb:
         if (n.has_config()) {
-          area += core::config_spec(static_cast<core::ConfigKind>(n.config_tag), lib)
-                      .mapped_area_um2;
+          area += specs[n.config_tag].mapped_area_um2;
         } else if (n.is_mapped()) {
           area += lib.spec(*n.cell).area_um2;
         } else {
@@ -154,13 +154,13 @@ void rebalance_pools(netlist::Netlist& nl, const core::PlbArchitecture& arch,
   }
   // Other configurations still occupy slots in these pools (NDMX, XOAMX,
   // XOANDMX, FA): account them as immovable background load.
+  const auto& specs = core::config_specs();
   for (netlist::NodeId id : nl.all_nodes()) {
     const auto& n = nl.node(id);
     if (n.type != netlist::NodeType::kComb || !n.has_config()) continue;
     if (n.in_macro() && n.macro_rep != id) continue;
     if (pool_of(n) >= 0) continue;
-    const auto& spec = core::config_spec(static_cast<core::ConfigKind>(n.config_tag));
-    for (auto need : spec.needs)
+    for (auto need : specs[n.config_tag].needs)
       for (std::size_t i = 0; i < pools.size(); ++i)
         if (need & core::component_bit(static_cast<core::PlbComponent>(
                        pools[i].config == core::ConfigKind::kMx
@@ -184,7 +184,7 @@ void rebalance_pools(netlist::Netlist& nl, const core::PlbArchitecture& arch,
     const double cost = 1.0 / pools[lo].per_tile;
     if (hi == lo || load[hi] - gain < load[lo] + cost) break;
     // Find a movable node: its function must be in the target's coverage.
-    const auto& target_cov = core::config_spec(pools[lo].config).coverage;
+    const auto& target_cov = specs[static_cast<std::size_t>(pools[lo].config)].coverage;
     bool moved = false;
     auto& bucket = members[hi];
     while (!bucket.empty() && !moved) {
@@ -251,6 +251,7 @@ CompactionResult compact_from(const synth::Subject& subject, const netlist::Netl
   // only the prices change. Build it once — including the FA-half — and
   // reprice in place each round.
   auto target = synth::config_target(arch, lib);
+  const auto& specs = core::config_specs(lib);
   std::size_t fa_half_idx = target.options.size() + 1;  // sentinel: no FA-half
   if (arch.supports(core::ConfigKind::kFullAdder)) {
     // FA-half option: half the full-adder footprint, since fusion pairs
@@ -260,7 +261,7 @@ CompactionResult compact_from(const synth::Subject& subject, const netlist::Netl
     synth::MatchOption half;
     half.name = "FA-half";
     half.coverage = fa_half_coverage();
-    half.arc = core::config_spec(core::ConfigKind::kXoamx, lib).arc;
+    half.arc = specs[static_cast<std::size_t>(core::ConfigKind::kXoamx)].arc;
     half.config_tag = static_cast<std::uint8_t>(core::ConfigKind::kFullAdder);
     fa_half_idx = target.options.size();
     target.options.push_back(std::move(half));
@@ -277,8 +278,7 @@ CompactionResult compact_from(const synth::Subject& subject, const netlist::Netl
       // The FA-half aliases kFullAdder's tag, so price by index, not tag:
       // it costs half the full adder under the current multipliers.
       const double scale = oi == fa_half_idx ? 0.5 : 1.0;
-      const auto& spec = core::config_spec(static_cast<core::ConfigKind>(opt.config_tag), lib);
-      opt.area_um2 = scale * priced(spec, pools, multiplier);
+      opt.area_um2 = scale * priced(specs[opt.config_tag], pools, multiplier);
     }
     // Only the cover is computed here; the winning round is emitted once,
     // after the loop.
@@ -297,8 +297,7 @@ CompactionResult compact_from(const synth::Subject& subject, const netlist::Netl
       const auto& opt = target.options[static_cast<std::size_t>(round_cover.choice[n].option)];
       const auto tag = static_cast<core::ConfigKind>(opt.config_tag);
       const double share = tag == core::ConfigKind::kFullAdder ? 0.5 : 1.0;
-      const auto& spec = core::config_spec(tag, lib);
-      for (auto need : spec.needs) {
+      for (auto need : specs[opt.config_tag].needs) {
         int accepting = 0;
         std::size_t only = pools.size();
         for (std::size_t i = 0; i < pools.size(); ++i)

@@ -92,14 +92,14 @@ int fuse_full_adders(netlist::Netlist& nl, const core::PlbArchitecture& arch) {
   // The compaction cover may speculatively tag FA-half supernodes; any that
   // found no partner revert to the XOAMX configuration (which covers both
   // XOR3/XNOR3 and the majority family).
+  const auto& xoamx = core::config_spec(core::ConfigKind::kXoamx).coverage;
   for (netlist::NodeId id : nl.all_nodes()) {
     auto& n = nl.node(id);
     if (n.type != netlist::NodeType::kComb || n.in_macro()) continue;
     if (n.config_tag != fa_tag) continue;
-    VPGA_ASSERT_MSG(core::config_spec(core::ConfigKind::kXoamx)
-                        .coverage.test(static_cast<std::size_t>(
-                            n.func.num_vars() == 3 ? n.func.bits() : 0)),
-                    "unpaired FA-half not realizable as XOAMX");
+    VPGA_ASSERT_MSG(
+        xoamx.test(static_cast<std::size_t>(n.func.num_vars() == 3 ? n.func.bits() : 0)),
+        "unpaired FA-half not realizable as XOAMX");
     n.config_tag = static_cast<std::uint8_t>(core::ConfigKind::kXoamx);
   }
   return fused;

@@ -29,8 +29,8 @@ namespace vpga::logic {
 /// One cached NPN transform: `apply(tt)` = permute inputs, negate the inputs
 /// in `negate_mask`, then (optionally) complement the output.
 struct NpnTransform {
-  std::array<std::uint8_t, 4> perm{0, 1, 2, 3};  ///< new var v reads old var perm[v]
-  std::uint8_t negate_mask = 0;                  ///< bit v: input v complemented
+  std::array<std::uint8_t, 3> perm{0, 1, 2};  ///< new var v reads old var perm[v]
+  std::uint8_t negate_mask = 0;               ///< bit v: input v complemented
   bool negate_output = false;
 };
 

@@ -7,13 +7,65 @@
 
 namespace vpga::netlist {
 
+std::uint64_t gate_table(const logic::TruthTable& f, std::size_t arity) {
+  VPGA_ASSERT_MSG(arity <= logic::TruthTable::kMaxVars, "gate has more than 6 fanins");
+  // Rows past f's own are 0, so fanins past its variables need no work; fold
+  // each variable past the fanins into the half of the table without it.
+  std::uint64_t g = f.bits();
+  for (int v = f.num_vars() - 1; v >= static_cast<int>(arity); --v) {
+    const int half = 1 << v;
+    g = (g | (g >> half)) & ((std::uint64_t{1} << half) - 1);
+  }
+  return g;
+}
+
+namespace {
+
+/// Steps lower_gate() emits for a gate: one up to 3 inputs, else one per
+/// cofactor over inputs 0-2 plus one fewer 2:1 muxes.
+std::size_t steps_of(std::size_t arity) {
+  return arity <= 3 ? 1 : (std::size_t{1} << (arity - 2)) - 1;
+}
+
+/// Temporaries of the widest gate: its last step writes the gate's own slot.
+constexpr std::size_t kMaxTemps = (std::size_t{1} << (logic::TruthTable::kMaxVars - 2)) - 2;
+
+}  // namespace
+
 template <class W>
-BasicBitSimulator<W>::BasicBitSimulator(const Netlist& nl)
-    : nl_(nl), order_(nl.topo_order()), values_(nl.num_nodes(), W{}) {
-  for (NodeId id : nl.all_nodes()) {
+BasicBitSimulator<W>::BasicBitSimulator(const Netlist& nl) : nl_(nl) {
+  const auto zero = static_cast<std::uint32_t>(nl.num_nodes());
+  values_.assign(nl.num_nodes() + 1 + kMaxTemps, W{});
+  std::size_t steps = 0;
+  for (const NodeId id : nl.all_nodes()) {
     const Node& n = nl.node(id);
-    if (n.type == NodeType::kConst)
-      values_[id.index()] = (n.func.bits() & 1) ? ~W{} : W{};
+    if (n.type == NodeType::kComb) steps += steps_of(n.fanin_count);
+    if (n.type == NodeType::kOutput) ++steps;
+    if (n.type == NodeType::kConst)  // a 0-input gate: every lane is func's bit 0
+      values_[id.index()] = eval_gate(logic::TruthTable(0, n.func.bits() & 1), 0,
+                                      [](std::size_t) { return W{}; });
+  }
+  program_.reserve(steps);
+
+  std::uint32_t next_temp = 0;
+  auto emit = [&](std::uint8_t table, std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+    program_.push_back({next_temp, {a, b, c}, table});
+    return next_temp++;
+  };
+  std::uint32_t in[logic::TruthTable::kMaxVars];
+  for (const NodeId id : nl.topo_order()) {
+    const Node& n = nl.node(id);
+    next_temp = zero + 1;
+    if (n.type == NodeType::kOutput) {
+      in[0] = nl.fanin(id, 0).value();
+      lower_gate(std::uint64_t{0b10}, 1, in, zero, emit);  // the identity on its driver
+    } else {
+      const auto fins = nl.fanins(id);
+      const std::uint64_t g = gate_table(n.func, fins.size());
+      for (std::size_t k = 0; k < fins.size(); ++k) in[k] = fins[k].value();
+      lower_gate(g, fins.size(), in, zero, emit);
+    }
+    program_.back().out = id.value();
   }
 }
 
@@ -31,16 +83,8 @@ void BasicBitSimulator<W>::set_state(std::size_t d, W patterns) {
 
 template <class W>
 void BasicBitSimulator<W>::eval() {
-  for (NodeId id : order_) {
-    const Node& n = nl_.node(id);
-    const auto fins = nl_.fanins(id);
-    if (n.type == NodeType::kOutput) {
-      values_[id.index()] = values_[fins[0].index()];
-      continue;
-    }
-    values_[id.index()] = eval_gate(n.func, fins.size(),
-                                    [&](std::size_t k) { return values_[fins[k].index()]; });
-  }
+  W* v = values_.data();
+  for (const Step& s : program_) v[s.out] = lut3(s.table, v[s.in[0]], v[s.in[1]], v[s.in[2]]);
 }
 
 template <class W>

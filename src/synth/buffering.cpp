@@ -1,5 +1,6 @@
 #include "synth/buffering.hpp"
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -12,32 +13,39 @@ int insert_buffers(netlist::Netlist& nl, int max_fanout, const library::CellLibr
   (void)lib;
   int inserted = 0;
   bool changed = true;
-  // Sink references per driver: (consumer node, fanin pin). Hoisted out of
-  // the fixpoint loop; per-entry clear() keeps the inner vectors' capacity.
-  std::vector<std::vector<std::pair<netlist::NodeId, int>>> sinks;
+  // Sink references per driver in CSR form, rebuilt on every pass: driver
+  // d's (consumer node, fanin pin) pairs are sink[offset[d], offset[d + 1]),
+  // consumer ascending, then pin ascending. Hoisted out of the fixpoint loop
+  // so later passes reuse the capacity.
+  std::vector<std::uint32_t> offset;
+  std::vector<std::uint32_t> cursor;
+  std::vector<std::pair<netlist::NodeId, std::uint32_t>> sink;
   while (changed) {
     changed = false;
-    if (sinks.size() < nl.num_nodes()) sinks.resize(nl.num_nodes());
-    for (auto& s : sinks) s.clear();
+    const std::size_t original_count = nl.num_nodes();
+    offset.assign(original_count + 1, 0);
+    for (netlist::NodeId id : nl.all_nodes())
+      for (const netlist::NodeId fi : nl.fanins(id))
+        if (fi.valid()) ++offset[fi.index() + 1];
+    for (std::size_t d = 0; d < original_count; ++d) offset[d + 1] += offset[d];
+    cursor.assign(offset.begin(), offset.end() - 1);
+    sink.resize(offset.back());
     for (netlist::NodeId id : nl.all_nodes()) {
       const auto fins = nl.fanins(id);
       for (std::size_t p = 0; p < fins.size(); ++p)
-        if (fins[p].valid())
-          sinks[fins[p].index()].emplace_back(id, static_cast<int>(p));
+        if (fins[p].valid()) sink[cursor[fins[p].index()]++] = {id, static_cast<std::uint32_t>(p)};
     }
-    const std::size_t original_count = nl.num_nodes();
     for (std::size_t d = 0; d < original_count; ++d) {
       const netlist::NodeId driver(d);
       if (nl.node(driver).type == netlist::NodeType::kOutput) continue;
-      auto& fan = sinks[d];
-      if (static_cast<int>(fan.size()) <= max_fanout) continue;
+      if (offset[d + 1] - offset[d] <= static_cast<std::uint32_t>(max_fanout)) continue;
       // Keep the first max_fanout-1 sinks on the driver and move the rest
       // behind a buffer; iterating again balances deep trees.
-      const auto keep = static_cast<std::size_t>(max_fanout - 1);
       const auto buf = nl.add_comb(logic::TruthTable(1, 0b10), {driver});
       nl.node(buf).cell = library::CellKind::kBuf;
-      for (std::size_t i = keep; i < fan.size(); ++i)
-        nl.set_fanin(fan[i].first, static_cast<std::size_t>(fan[i].second), buf);
+      for (std::uint32_t i = offset[d] + static_cast<std::uint32_t>(max_fanout - 1);
+           i < offset[d + 1]; ++i)
+        nl.set_fanin(sink[i].first, sink[i].second, buf);
       ++inserted;
       changed = true;
     }

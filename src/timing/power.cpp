@@ -37,11 +37,11 @@ PowerReport estimate_power(const netlist::Netlist& nl, const place::Placement& p
     rep.toggle_rate[id.index()] = toggles[id.index()] / denom;
 
   // --- capacitance per net -----------------------------------------------------
+  const auto& specs = core::config_specs(lib);
   auto input_cap = [&](const netlist::Node& n) {
     if (n.type == netlist::NodeType::kDff) return lib.spec(library::CellKind::kDff).input_cap_ff;
     if (n.type != netlist::NodeType::kComb) return 0.0;
-    if (n.has_config())
-      return core::config_spec(static_cast<core::ConfigKind>(n.config_tag), lib).input_cap_ff;
+    if (n.has_config()) return specs[n.config_tag].input_cap_ff;
     if (n.is_mapped()) return lib.spec(*n.cell).input_cap_ff;
     return lib.spec(library::CellKind::kNd2wi).input_cap_ff;
   };

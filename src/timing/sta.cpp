@@ -20,7 +20,8 @@ struct NodeTiming {
   double setup_ps = 0;      // DFF only
 };
 
-NodeTiming timing_of(const Netlist& nl, NodeId id, const library::CellLibrary& lib) {
+NodeTiming timing_of(const Netlist& nl, NodeId id, const library::CellLibrary& lib,
+                     const std::array<core::ConfigSpec, core::kNumConfigKinds>& specs) {
   const auto& n = nl.node(id);
   NodeTiming t;
   if (n.type == NodeType::kDff) {
@@ -32,7 +33,7 @@ NodeTiming timing_of(const Netlist& nl, NodeId id, const library::CellLibrary& l
   }
   if (n.type != NodeType::kComb) return t;  // PI/PO/const: no arc
   if (n.has_config()) {
-    const auto& s = core::config_spec(static_cast<core::ConfigKind>(n.config_tag), lib);
+    const auto& s = specs[n.config_tag];
     t.arc = s.arc;
     t.input_cap_ff = s.input_cap_ff;
     return t;
@@ -55,7 +56,8 @@ TimingReport analyze(const Netlist& nl, const place::Placement& placed,
 
   // Per-node timing data and electrical loads.
   std::vector<NodeTiming> nt(nl.num_nodes());
-  for (NodeId id : nl.all_nodes()) nt[id.index()] = timing_of(nl, id, lib);
+  const auto& specs = core::config_specs(lib);
+  for (NodeId id : nl.all_nodes()) nt[id.index()] = timing_of(nl, id, lib, specs);
 
   std::vector<double> load_ff(nl.num_nodes(), 0.0);  // pin + wire load per driver
   std::vector<double> wire_len(nl.num_nodes(), 0.0);

@@ -152,6 +152,47 @@ TEST(Buffering, PreservesFunction) {
   EXPECT_FALSE(netlist::random_divergence(src, buffered, 200));
 }
 
+/// What insert_buffers at the flow's fanout limit (8) does to a netlist:
+/// the buffers it adds, and every pin it rewires — each pin of an original
+/// node whose fanin changed, and each pin of an added buffer — as a count and
+/// an FNV-1a digest of (node, pin, fanin) in node, then pin order.
+struct BufferingOutcome {
+  int buffers = 0;
+  int moved_pins = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+};
+
+BufferingOutcome buffer_outcome(const netlist::Netlist& original) {
+  auto nl = original;
+  BufferingOutcome out;
+  out.buffers = insert_buffers(nl, 8);
+  for (netlist::NodeId id : nl.all_nodes()) {
+    const auto fins = nl.fanins(id);
+    for (std::size_t p = 0; p < fins.size(); ++p) {
+      if (id.index() < original.num_nodes() && fins[p] == original.fanin(id, static_cast<int>(p)))
+        continue;
+      ++out.moved_pins;
+      for (const std::uint64_t x : {std::uint64_t{id.value()}, std::uint64_t{p},
+                                    std::uint64_t{fins[p].value()}})
+        out.digest = (out.digest ^ x) * 0x100000001b3ULL;
+    }
+  }
+  return out;
+}
+
+TEST(Buffering, PinnedOnAluAndSwitch) {
+  // The digests pin the sink order (consumer ascending, then pin ascending)
+  // that decides which sinks each buffer takes over.
+  const auto alu = buffer_outcome(designs::make_alu(32).netlist);
+  EXPECT_EQ(alu.buffers, 119);
+  EXPECT_EQ(alu.moved_pins, 904);
+  EXPECT_EQ(alu.digest, 11389029993283779472ULL);
+  const auto sw = buffer_outcome(designs::make_network_switch(8, 32).netlist);
+  EXPECT_EQ(sw.buffers, 2208);
+  EXPECT_EQ(sw.moved_pins, 16376);
+  EXPECT_EQ(sw.digest, 18221526704823451585ULL);
+}
+
 TEST(Buffering, NoChangeBelowLimit) {
   auto nl = designs::make_ripple_adder(4);
   const auto before = nl.num_nodes();
