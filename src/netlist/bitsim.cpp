@@ -67,6 +67,12 @@ BasicBitSimulator<W>::BasicBitSimulator(const Netlist& nl) : nl_(nl) {
     }
     program_.back().out = id.value();
   }
+  registers_.reserve(nl.dffs().size());
+  for (const NodeId q : nl.dffs()) {
+    const NodeId d = nl.fanin(q, 0);
+    dangling_d_ = dangling_d_ || !d.valid();
+    registers_.push_back({q.value(), d.valid() ? d.value() : zero});
+  }
 }
 
 template <class W>
@@ -89,10 +95,10 @@ void BasicBitSimulator<W>::eval() {
 
 template <class W>
 void BasicBitSimulator<W>::step() {
-  const auto& dffs = nl_.dffs();
-  next_.resize(dffs.size());  // sized by the first edge; later edges reuse it
-  for (std::size_t d = 0; d < dffs.size(); ++d) next_[d] = next_state(d);
-  for (std::size_t d = 0; d < dffs.size(); ++d) values_[dffs[d].index()] = next_[d];
+  VPGA_ASSERT_MSG(!dangling_d_, "a register's D pin is unconnected");
+  next_.resize(registers_.size());  // sized by the first edge; later edges reuse it
+  for (std::size_t d = 0; d < registers_.size(); ++d) next_[d] = values_[registers_[d].d];
+  for (std::size_t d = 0; d < registers_.size(); ++d) values_[registers_[d].q] = next_[d];
 }
 
 template <class W>

@@ -154,11 +154,19 @@ class BasicBitSimulator {
     std::uint8_t table;
   };
 
+  /// A register's Q slot and the slot of its D pin's driver.
+  struct Register {
+    std::uint32_t q;
+    std::uint32_t d;
+  };
+
   const Netlist& nl_;
   std::vector<Step> program_;
   /// One slot per node (by index), then the constant-zero slot, then the
   /// temporaries of the widest gate's cofactor and mux steps.
   std::vector<W> values_;
+  std::vector<Register> registers_;  ///< per DFF, in dffs() order
+  bool dangling_d_ = false;          ///< some D pin was unconnected at construction
   std::vector<W> next_;  // step()'s D words, gathered before any register moves
 };
 

@@ -19,7 +19,7 @@
 namespace vpga::obs::names {
 
 /// Trace span names (one per obs::Span call site family).
-inline constexpr std::array<std::string_view, 31> kSpanNames = {
+inline constexpr std::array<std::string_view, 32> kSpanNames = {
     "stage.verify",  "stage.map",   "stage.compact", "stage.buffer",
     "stage.place",   "stage.pack",  "stage.route",   "stage.sta",
     "map.subject",   "map.aig",     "map.cuts",      "map.tech_map",
@@ -27,8 +27,8 @@ inline constexpr std::array<std::string_view, 31> kSpanNames = {
     "pack.lower_bound", "pack.attempt",  "pack.quadrisect", "pack.fill",
     "place.median_sweeps", "place.anneal",
     "route.decompose", "route.initial", "route.negotiate", "route.maze_repair",
-    "sta.analyze",   "verify.cec",  "cec.corr",    "cec.signatures", "cec.witness",
-    "cec.sweep",     "cec.bdd",     "cec.miter",
+    "sta.analyze",   "verify.cec",  "cec.corr",    "cec.signatures", "cec.golden",
+    "cec.witness",   "cec.sweep",   "cec.bdd",     "cec.miter",
 };
 
 /// Counter / gauge / histogram names (obs::count, obs::gauge, obs::observe).

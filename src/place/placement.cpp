@@ -154,7 +154,19 @@ Placer::Placer(const Netlist& nl, const PlacerOptions& opts, const library::Cell
 
 Placement Placer::anneal(const std::vector<double>& criticality) const {
   const obs::Span anneal_span("place.anneal");
+  if (criticality.empty()) return anneal_loop<false>({});
+  // Edge weights max(w(v), w(u)), w = 1 + 3 * criticality, one per
+  // adjacency entry.
+  std::vector<double> weight(adj_.size());
+  auto node_weight = [&](std::uint32_t v) { return 1.0 + 3.0 * criticality[v]; };
+  for (std::uint32_t v = 0; v + 1 < adj_begin_.size(); ++v)
+    for (std::uint32_t k = adj_begin_[v]; k < adj_begin_[v + 1]; ++k)
+      weight[k] = std::max(node_weight(v), node_weight(adj_[k]));
+  return anneal_loop<true>(weight);
+}
 
+template <bool kWeighted>
+Placement Placer::anneal_loop(const std::vector<double>& weight) const {
   // Simulated-annealing refinement on a slot grid with a shrinking move
   // window (VPR-style). Cells sit on grid slots; a move swaps a random cell
   // with the occupant of a slot within the window (or moves it to an empty
@@ -169,16 +181,6 @@ Placement Placer::anneal(const std::vector<double>& criticality) const {
   auto slot_center = [&](int slot) {
     return Point{(slot % cols + 0.5) * pitch_x, (slot / cols + 0.5) * pitch_y};
   };
-
-  // Edge weights max(w(v), w(u)), w = 1 + 3 * criticality, one per
-  // adjacency entry.
-  std::vector<double> weight(adj_.size(), 1.0);
-  if (!criticality.empty()) {
-    auto node_weight = [&](std::uint32_t v) { return 1.0 + 3.0 * criticality[v]; };
-    for (std::uint32_t v = 0; v + 1 < adj_begin_.size(); ++v)
-      for (std::uint32_t k = adj_begin_[v]; k < adj_begin_[v + 1]; ++k)
-        weight[k] = std::max(node_weight(v), node_weight(adj_[k]));
-  }
 
   // A move sends cell a to `a_to` and the target slot's occupant b (if any)
   // to a's slot. star_costs(v) walks v's partners once and sums v's star cost
@@ -204,8 +206,14 @@ Placement Placer::anneal(const std::vector<double>& criticality) const {
       const Point u_to = u == m.a                              ? m.a_to
                          : static_cast<std::int32_t>(u) == m.b ? m.b_to
                                                                : u_from;
-      c.before += (std::abs(from.x - u_from.x) + std::abs(from.y - u_from.y)) * weight[k];
-      c.after += (std::abs(to.x - u_to.x) + std::abs(to.y - u_to.y)) * weight[k];
+      double before = std::abs(from.x - u_from.x) + std::abs(from.y - u_from.y);
+      double after = std::abs(to.x - u_to.x) + std::abs(to.y - u_to.y);
+      if constexpr (kWeighted) {
+        before *= weight[k];
+        after *= weight[k];
+      }
+      c.before += before;
+      c.after += after;
     }
     return c;
   };
@@ -233,7 +241,12 @@ Placement Placer::anneal(const std::vector<double>& criticality) const {
     const StarCosts ca = star_costs(a, m);
     const StarCosts cb = b >= 0 ? star_costs(static_cast<std::uint32_t>(b), m) : StarCosts{};
     const double delta = (ca.after + cb.after) - (ca.before + cb.before);
-    if (delta <= 0.0 || rng.next_double() < std::exp(-delta / std::max(1e-9, temperature))) {
+    const auto accept_uphill = [&] {
+      const double u = rng.next_double();
+      const double x = delta / std::max(1e-9, temperature);
+      return !metropolis_rejects_early(u, x) && u < std::exp(-x);
+    };
+    if (delta <= 0.0 || accept_uphill()) {
       // accept: commit positions and slot bookkeeping
       ++sa_accepted;
       p.pos[a] = m.a_to;

@@ -65,6 +65,12 @@ class Placer {
   [[nodiscard]] Placement anneal(const std::vector<double>& criticality) const;
 
  private:
+  /// The annealing loop: each star term is multiplied by its adjacency
+  /// entry's `weight` when kWeighted, and taken as it is in the uniform
+  /// anneal, whose weights would all be exactly 1.
+  template <bool kWeighted>
+  [[nodiscard]] Placement anneal_loop(const std::vector<double>& weight) const;
+
   std::uint64_t seed_;
   int sa_moves_per_node_;
   int rows_ = 0, cols_ = 0;
@@ -81,6 +87,16 @@ class Placer {
   std::vector<std::int32_t> node_of_slot_;  ///< -1 = empty slot
   std::vector<int> slot_of_node_;           ///< -1 = not a cell
 };
+
+/// The annealer's early Metropolis rejection. An uphill move with cost
+/// ratio x = delta / T >= 0 is accepted iff u < e^-x for the uniform draw u.
+/// Since e^x >= 1 + x + x^2/2 + x^3/6 for x >= 0, u times that cubic above
+/// 1 + 1e-6 (a margin over the rounding of both sides) already means
+/// u > e^-x, and the move is rejected without computing std::exp: the
+/// verdict is always the one u < std::exp(-x) gives.
+[[nodiscard]] inline bool metropolis_rejects_early(double u, double x) {
+  return u * (1.0 + x + x * x / 2.0 + x * x * x / 6.0) > 1.0 + 1e-6;
+}
 
 /// Places all logic nodes inside the die; PIs/POs on the periphery.
 /// Equivalent to Placer(nl, opts, lib).anneal(opts.criticality).

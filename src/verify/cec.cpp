@@ -149,23 +149,88 @@ class ClaimChecker {
   std::vector<std::uint32_t> stack_;
 };
 
-/// One stage boundary's worth of point checks: structural signatures, the
-/// checked witness literals, the lazily-built miter solver, and all loop
-/// scratch live here so the per-point path never allocates beyond genuine
-/// growth.
+/// The witness rule on one netlist. Fills lit[node] with the golden-AIG
+/// literal each node is proven to compute, or Node::kNoWitness, and returns
+/// the number of rejected claims. Boundary nodes get theirs by position:
+/// input i takes input_lit[i], DFF d the literal of golden register
+/// partner(d), constants their value. In topological order, every comb node
+/// must then equal claim_of(id, node) over its fanins' checked literals; a
+/// 1-input buffer or inverter without a claim takes its fanin's literal or
+/// its complement. A failed check leaves the node, and everything it feeds,
+/// to the ladder.
+template <class Partner, class Claim>
+int settle_claims(const Netlist& nl, ClaimChecker& claims, std::span<const aig::Lit> input_lit,
+                  Partner partner, Claim claim_of, std::vector<aig::Lit>& lit) {
+  constexpr aig::Lit kNoLit = Node::kNoWitness;
+  const std::size_t ni = nl.inputs().size();
+  lit.assign(nl.num_nodes(), kNoLit);
+  for (std::size_t i = 0; i < ni; ++i) lit[nl.inputs()[i].index()] = input_lit[i];
+  for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
+    lit[nl.dffs()[d].index()] = input_lit[ni + partner(d)];
+  }
+  for (const NodeId id : nl.all_nodes()) {
+    const Node& n = nl.node(id);
+    if (n.type == NodeType::kConst) lit[id.index()] = n.func.eval(0) ? aig::kTrue : aig::kFalse;
+  }
+  int rejects = 0;
+  std::vector<aig::Lit> leaves;
+  leaves.reserve(logic::TruthTable::kMaxVars);
+  for (const NodeId id : nl.topo_order()) {
+    const Node& n = nl.node(id);
+    if (n.type != NodeType::kComb) continue;
+    leaves.clear();
+    for (const NodeId fi : nl.fanins(id)) leaves.push_back(lit[fi.index()]);
+    if (std::find(leaves.begin(), leaves.end(), kNoLit) != leaves.end()) continue;
+    const aig::Lit claim = claim_of(id, n);
+    if (claim == kNoLit) {
+      if (n.num_fanins() == 1 && n.func.bits() == 0b10) lit[id.index()] = leaves[0];
+      if (n.num_fanins() == 1 && n.func.bits() == 0b01) lit[id.index()] = aig::negate(leaves[0]);
+    } else if (claims.holds(n.func, leaves, claim)) {
+      lit[id.index()] = claim;
+    } else {
+      ++rejects;
+    }
+  }
+  return rejects;
+}
+
+/// True iff some comb node of `nl` carries a witness.
+bool carries_witnesses(const Netlist& nl) {
+  for (const NodeId id : nl.all_nodes()) {
+    const Node& n = nl.node(id);
+    if (n.type == NodeType::kComb && n.witness != Node::kNoWitness) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+/// The witness rule's golden side (CecBaseline::witnesses()).
+struct CecBaseline::Witnesses {
+  aig::Aig aig;                     ///< aig::from_netlist(golden), structural hash dropped
+  std::vector<aig::Lit> input_lit;  ///< AIG input literal of each primary input, then register
+  std::vector<aig::Lit> lit;        ///< checked literal per golden node, or Node::kNoWitness
+  std::vector<aig::Lit> d_lit;      ///< checked literal on each golden register's D pin
+  int rejects = 0;                  ///< golden gates whose own literal failed its check
+};
+
+namespace {
+
+/// One stage boundary's worth of point checks: the revised side's checked
+/// witness literals, the structural signatures of the points they leave
+/// open, the lazily-built miter solver, and all loop scratch live here so
+/// the per-point path never allocates beyond genuine growth.
 class PointChecker {
  public:
-  PointChecker(const Netlist& golden, const Netlist& revised,
-               const RegisterCorrespondence& corr, const CecOptions& opts, CecReport& report)
-      : golden_(golden), revised_(revised), corr_(corr), opts_(opts), report_(report) {
-    if (opts_.structural_tier) {
-      {
-        const obs::Span span("cec.signatures");
-        side_signatures(golden_, sig_[0], {});
-        side_signatures(revised_, sig_[1], corr_.inv);
-      }
-      if (!opts_.force_bdd) check_witnesses();
-    }
+  /// `witnesses` is the baseline's golden side when the witness rule runs
+  /// (structural tier on, force_bdd off and a witnessed revised netlist),
+  /// else null.
+  PointChecker(const Netlist& golden, const CecBaseline::Witnesses* witnesses,
+               const Netlist& revised, const RegisterCorrespondence& corr,
+               const CecOptions& opts, CecReport& report)
+      : golden_(golden), gw_(witnesses), revised_(revised), corr_(corr), opts_(opts),
+        report_(report) {
+    if (gw_ != nullptr) check_witnesses();
   }
 
   /// Checks output `idx` (is_state == false) or golden DFF D-function `idx`
@@ -179,9 +244,9 @@ class PointChecker {
                                : revised_.fanin(revised_.outputs()[idx], 0);
 
     if (opts_.structural_tier && !opts_.force_bdd) {
-      const bool same_witness = !wit_[0].empty() && wit_[0][ga.index()] != kNoLit &&
-                                wit_[0][ga.index()] == wit_[1][rb.index()];
-      if (same_witness || sig_[0][ga.index()] == sig_[1][rb.index()]) {
+      const bool same_witness = gw_ != nullptr && gw_->lit[ga.index()] != kNoLit &&
+                                gw_->lit[ga.index()] == wit_[rb.index()];
+      if (same_witness || same_signature(ga, rb)) {
         ++report_.tier_struct;
         return true;
       }
@@ -229,68 +294,18 @@ class PointChecker {
  private:
   static constexpr aig::Lit kNoLit = Node::kNoWitness;
 
-  /// Tier 1's witness rule. Fills wit_[side][node] with the golden-AIG
-  /// literal each node is proven to compute, or kNoLit. Boundary nodes get
-  /// theirs by position: inputs, registers (revised DFF d is golden latch
-  /// corr_.inv[d]) and constants. In topological order, every golden gate
-  /// must then equal its own aig::from_netlist literal, and every revised
-  /// node its stamped witness, over its fanins' checked literals; a 1-input
-  /// buffer or inverter without a witness takes its fanin's literal or its
-  /// complement. A failed check counts in witness_rejects and leaves the
-  /// node, and everything it feeds, to the ladder. Runs only when some
-  /// revised comb node carries a witness.
+  /// Tier 1's witness rule on the revised side (settle_claims): revised DFF
+  /// d is golden latch corr_.inv[d], and every witnessed node must compute
+  /// its witness. The golden side's rejects, counted once in the baseline,
+  /// count in every proof.
   void check_witnesses() {
-    bool stamped = false;
-    for (const NodeId id : revised_.all_nodes()) {
-      const Node& n = revised_.node(id);
-      if (n.type == NodeType::kComb && n.witness != Node::kNoWitness) {
-        stamped = true;
-        break;
-      }
-    }
-    if (!stamped) return;
     const obs::Span span("cec.witness");
-    const aig::AigMapping m = aig::from_netlist(golden_);
-    // Every boundary node gets its own AIG input (Aig::add_input never
-    // shares one), so distinct golden variables never share a literal.
-    VPGA_ASSERT(m.num_pis == golden_.inputs().size() &&
-                m.aig.num_inputs() == golden_.inputs().size() + golden_.dffs().size());
-    ClaimChecker claims(m.aig);
-    const Netlist* nets[2] = {&golden_, &revised_};
-    std::vector<aig::Lit> leaves;
-    leaves.reserve(logic::TruthTable::kMaxVars);
-    for (int side = 0; side < 2; ++side) {
-      const Netlist& nl = *nets[side];
-      std::vector<aig::Lit>& lit = wit_[side];
-      lit.assign(nl.num_nodes(), kNoLit);
-      for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-        lit[nl.inputs()[i].index()] = aig::lit(m.aig.inputs()[i], false);
-      }
-      for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
-        const std::size_t g = side == 0 ? d : corr_.inv[d];
-        lit[nl.dffs()[d].index()] = aig::lit(m.aig.inputs()[m.num_pis + g], false);
-      }
-      for (const NodeId id : nl.all_nodes()) {
-        const Node& n = nl.node(id);
-        if (n.type == NodeType::kConst) lit[id.index()] = n.func.eval(0) ? aig::kTrue : aig::kFalse;
-      }
-      for (const NodeId id : nl.topo_order()) {
-        const Node& n = nl.node(id);
-        if (n.type != NodeType::kComb) continue;
-        leaves.clear();
-        for (const NodeId fi : nl.fanins(id)) leaves.push_back(lit[fi.index()]);
-        if (std::find(leaves.begin(), leaves.end(), kNoLit) != leaves.end()) continue;
-        const aig::Lit claim = side == 0 ? m.node_lit[id.index()] : n.witness;
-        if (claim == kNoLit) {
-          if (n.num_fanins() == 1 && n.func.bits() == 0b10) lit[id.index()] = leaves[0];
-          if (n.num_fanins() == 1 && n.func.bits() == 0b01) lit[id.index()] = aig::negate(leaves[0]);
-        } else if (claims.holds(n.func, leaves, claim)) {
-          lit[id.index()] = claim;
-        } else {
-          ++report_.witness_rejects;
-        }
-      }
-    }
+    ClaimChecker claims(gw_->aig);
+    report_.witness_rejects =
+        gw_->rejects +
+        settle_claims(
+            revised_, claims, gw_->input_lit, [this](std::size_t d) { return corr_.inv[d]; },
+            [](NodeId, const Node& n) { return n.witness; }, wit_);
   }
 
   /// Node budget of the default ladder's first BDD attempt: the smallest power
@@ -704,43 +719,68 @@ class PointChecker {
     return (is_state ? "dff[" : "output[") + std::to_string(idx) + "]";
   }
 
-  /// Shared structural signatures: identical cones — across both netlists —
-  /// get identical dense ids, making tier 1 a single compare per point.
-  /// `state_key` (the revised side's correspondence) keys each DFF leaf by
-  /// its golden partner so corresponding registers share a signature.
-  void side_signatures(const Netlist& nl, std::vector<std::uint32_t>& sig,
-                       std::span<const std::uint32_t> state_key) {
-    sig.assign(nl.num_nodes(), 0);
-    common::FnKey key;
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      key = common::FnKey();
-      key.tag = 1;
-      key.bits = i;
-      sig[nl.inputs()[i].index()] = fresh_sig(key);
+  /// Tier 1's signature rule for a point its witnesses leave open: shared
+  /// structural signatures, so identical cones — across both netlists — get
+  /// identical dense ids. Every primary input and register is signed on the
+  /// first call (a revised register under its golden partner's index, so
+  /// corresponding registers share a signature); a gate is signed the first
+  /// time a point's cone reaches it, and keeps that signature.
+  bool same_signature(NodeId ga, NodeId rb) {
+    const obs::Span span("cec.signatures");
+    if (sig_[0].empty()) {
+      const Netlist* nets[2] = {&golden_, &revised_};
+      for (int side = 0; side < 2; ++side) {
+        const Netlist& nl = *nets[side];
+        sig_[side].assign(nl.num_nodes(), 0);
+        common::FnKey key;
+        key.tag = 1;
+        for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+          key.bits = i;
+          sig_[side][nl.inputs()[i].index()] = fresh_sig(key);
+        }
+        key.tag = 2;
+        for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
+          key.bits = side == 0 ? d : corr_.inv[d];
+          sig_[side][nl.dffs()[d].index()] = fresh_sig(key);
+        }
+      }
     }
-    for (std::size_t d = 0; d < nl.dffs().size(); ++d) {
-      key = common::FnKey();
-      key.tag = 2;
-      key.bits = state_key.empty() ? d : state_key[d];
-      sig[nl.dffs()[d].index()] = fresh_sig(key);
-    }
-    for (const NodeId id : nl.all_nodes()) {
-      if (nl.node(id).type != NodeType::kConst) continue;
-      key = common::FnKey();
-      key.tag = 3;
-      key.bits = nl.node(id).func.eval(0) ? 1 : 0;
-      sig[id.index()] = fresh_sig(key);
-    }
-    for (const NodeId id : nl.topo_order()) {
+    return sign(golden_, sig_[0], ga) == sign(revised_, sig_[1], rb);
+  }
+
+  /// The signature of `root`, signing the unsigned part of its cone
+  /// bottom-up.
+  std::uint32_t sign(const Netlist& nl, std::vector<std::uint32_t>& sig, NodeId root) {
+    sig_stack_.assign(1, root);
+    while (!sig_stack_.empty()) {
+      const NodeId id = sig_stack_.back();
+      if (sig[id.index()] != 0) {
+        sig_stack_.pop_back();
+        continue;
+      }
       const Node& n = nl.node(id);
-      if (n.type != NodeType::kComb) continue;
-      key = common::FnKey();
-      key.bits = n.func.bits();
-      key.arity = static_cast<std::uint8_t>(n.num_fanins());
-      const std::span<const NodeId> fis = nl.fanins(id);
-      for (std::size_t k = 0; k < fis.size(); ++k) key.kids[k] = sig[fis[k].index()];
+      common::FnKey key;
+      if (n.type == NodeType::kConst) {
+        key.tag = 3;
+        key.bits = n.func.eval(0) ? 1 : 0;
+      } else {
+        const std::span<const NodeId> fis = nl.fanins(id);
+        bool ready = true;
+        for (const NodeId fi : fis) {
+          if (sig[fi.index()] == 0) {
+            sig_stack_.push_back(fi);
+            ready = false;
+          }
+        }
+        if (!ready) continue;
+        key.bits = n.func.bits();
+        key.arity = static_cast<std::uint8_t>(n.num_fanins());
+        for (std::size_t k = 0; k < fis.size(); ++k) key.kids[k] = sig[fis[k].index()];
+      }
       sig[id.index()] = fresh_sig(key);
+      sig_stack_.pop_back();
     }
+    return sig[root.index()];
   }
 
   std::uint32_t fresh_sig(const common::FnKey& key) {
@@ -748,13 +788,15 @@ class PointChecker {
   }
 
   const Netlist& golden_;
+  const CecBaseline::Witnesses* gw_;  ///< null when the witness rule does not run
   const Netlist& revised_;
   const RegisterCorrespondence& corr_;
   const CecOptions& opts_;
   CecReport& report_;
   common::FnKeyMap sigmap_;
-  std::vector<std::uint32_t> sig_[2];
-  std::vector<aig::Lit> wit_[2];  ///< checked witness literal per node, or kNoLit
+  std::vector<std::uint32_t> sig_[2];  ///< per node, 0 until signed; empty until a point needs one
+  std::vector<NodeId> sig_stack_;
+  std::vector<aig::Lit> wit_;  ///< revised checked witness literal per node, or kNoLit
   common::FnKeyMap sweepmap_;
   std::vector<Word256> stimulus_;  ///< one 256-pattern word per input, then per DFF
   std::vector<Word256> sweep_sig_[2];
@@ -850,8 +892,48 @@ std::string dff_display_name(const Netlist& nl, std::size_t d) {
 
 }  // namespace
 
+CecBaseline::CecBaseline(const Netlist& golden) : golden_(golden) {}
+
+CecBaseline::~CecBaseline() = default;
+
+std::uint64_t CecBaseline::fingerprint() {
+  if (!fingerprint_) fingerprint_ = netlist_fingerprint(golden_);
+  return *fingerprint_;
+}
+
+const CecBaseline::Witnesses& CecBaseline::witnesses() {
+  if (witnesses_) return *witnesses_;
+  const obs::Span span("cec.golden");
+  aig::AigMapping m = aig::from_netlist(golden_);
+  // Every boundary node gets its own AIG input (Aig::add_input never
+  // shares one), so distinct golden variables never share a literal.
+  VPGA_ASSERT(m.num_pis == golden_.inputs().size() &&
+              m.aig.num_inputs() == golden_.inputs().size() + golden_.dffs().size());
+  auto w = std::make_unique<Witnesses>();
+  m.aig.drop_strash();
+  w->aig = std::move(m.aig);
+  w->input_lit.reserve(w->aig.num_inputs());
+  for (const std::uint32_t in : w->aig.inputs()) w->input_lit.push_back(aig::lit(in, false));
+  ClaimChecker claims(w->aig);
+  // Every golden gate must equal its own aig::from_netlist literal.
+  w->rejects = settle_claims(
+      golden_, claims, w->input_lit, [](std::size_t d) { return d; },
+      [&m](NodeId id, const Node&) { return m.node_lit[id.index()]; }, w->lit);
+  w->d_lit.reserve(golden_.dffs().size());
+  for (const NodeId q : golden_.dffs()) w->d_lit.push_back(w->lit[golden_.fanin(q, 0).index()]);
+  witnesses_ = std::move(w);
+  return *witnesses_;
+}
+
 CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& revised,
                                           const CecOptions& opts) {
+  CecBaseline baseline(golden);
+  return check_combinational_equivalence(baseline, revised, opts);
+}
+
+CecReport check_combinational_equivalence(CecBaseline& baseline, const Netlist& revised,
+                                          const CecOptions& opts) {
+  const Netlist& golden = baseline.golden();
   CecReport report;
   if (golden.inputs().size() != revised.inputs().size() ||
       golden.outputs().size() != revised.outputs().size() ||
@@ -860,10 +942,19 @@ CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& 
     report.equivalent = false;
     return report;
   }
+  const CecBaseline::Witnesses* witnesses =
+      opts.structural_tier && !opts.force_bdd && carries_witnesses(revised) ? &baseline.witnesses()
+                                                                            : nullptr;
   RegisterCorrespondence corr;
   {
+    // Registers pair by the witnesses on their D pins; the refinement runs
+    // only when the witness rule does not, or when they give no bijection.
     const obs::Span span("cec.corr");
-    corr = match_registers(golden, revised);
+    std::optional<RegisterCorrespondence> paired;
+    if (witnesses != nullptr) {
+      paired = match_registers_by_witness(revised, witnesses->d_lit, witnesses->input_lit);
+    }
+    corr = paired ? std::move(*paired) : match_registers(golden, revised);
   }
   report.corr_classes = corr.classes;
   report.corr_rounds = corr.rounds;
@@ -880,7 +971,7 @@ CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& 
     }
     return report;
   }
-  PointChecker checker(golden, revised, corr, opts, report);
+  PointChecker checker(golden, witnesses, revised, corr, opts, report);
   bool scanning = true;
   for (std::size_t o = 0; scanning && o < golden.outputs().size(); ++o) {
     scanning = checker.check_point(o, false);
@@ -894,14 +985,21 @@ CecReport check_combinational_equivalence(const Netlist& golden, const Netlist& 
 
 void check_cec(const Netlist& golden, const Netlist& revised, const std::string& stage,
                VerifyReport& report, const CecOptions& opts) {
+  CecBaseline baseline(golden);
+  check_cec(baseline, revised, stage, report, opts);
+}
+
+void check_cec(CecBaseline& baseline, const Netlist& revised, const std::string& stage,
+               VerifyReport& report, const CecOptions& opts) {
   const obs::Span span("verify.cec");
+  const Netlist& golden = baseline.golden();
   CecOptions eff = opts;
   // CI's forced-BDD exact run flips the tier routing from the outside.
   if (const char* force = std::getenv("VPGA_CEC_FORCE_BDD");
       force != nullptr && force[0] != '\0' && force[0] != '0') {
     eff.force_bdd = true;
   }
-  const CecReport cec = check_combinational_equivalence(golden, revised, eff);
+  const CecReport cec = check_combinational_equivalence(baseline, revised, eff);
 
   obs::count("cec.points", cec.checks);
   obs::count("cec.witness_rejects", cec.witness_rejects);

@@ -7,18 +7,22 @@
 /// compared between the golden and revised netlists through a tier ladder,
 /// cheapest first:
 ///
-///   1. structural: shared signature hashing across both netlists; identical
-///      cones are equivalent without touching their function. Also the
-///      witness rule: when revised nodes carry witnesses (Node::witness,
-///      stamped by synth::tech_map), the checker builds
-///      aig::from_netlist(golden) once and checks, in topological order,
-///      every golden gate against its own AIG literal and every witnessed
-///      revised node against its witness, each over its fanins' already
-///      checked literals. A check evaluates only the AIG cone between the
-///      node's literal and its fanins' literals, on 64-lane words; a cone
-///      that escapes those leaves or passes 256 AND nodes rejects the claim
-///      (`witness_rejects`). A point whose golden and revised drivers hold
-///      the same checked literal settles here. Nodes downstream of a
+///   1. structural: the witness rule, then shared structural signatures.
+///      When revised nodes carry witnesses (Node::witness, stamped by
+///      synth::tech_map), the golden side's checked literals come from the
+///      baseline (CecBaseline): aig::from_netlist(golden), with every golden
+///      gate checked against its own AIG literal, once per baseline. The
+///      proof then checks, in topological order, every witnessed revised
+///      node against its witness over its fanins' already checked literals.
+///      A check evaluates only the AIG cone between the node's literal and
+///      its fanins' literals, on 64-lane words; a cone that escapes those
+///      leaves or passes 256 AND nodes rejects the claim
+///      (`witness_rejects`, the golden side's rejects included). A point
+///      whose golden and revised drivers hold the same checked literal
+///      settles here. Only a point the witnesses leave open is signed: its
+///      two cones get structural signatures, hash-consed in one map across
+///      both netlists and memoised per node, so identical cones are
+///      equivalent without touching their function. Nodes downstream of a
 ///      rejected or missing claim take the ladder below, so a wrong witness
 ///      costs time, never a verdict.
 ///   2. truth table: cones whose union support fits 6 variables collapse to
@@ -56,10 +60,12 @@
 ///
 /// Sequential netlists are first aligned by *register correspondence*
 /// (verify/regcorr.hpp): instead of assuming DFF i on one side is DFF i on
-/// the other, registers are partition-refined by 256-pattern next-state
-/// simulation signatures plus structural cone fingerprints (jointly over
-/// both sides, so class ids are side-independent), then paired within
-/// classes. Netlists whose registers
+/// the other, a witnessed revised netlist pairs each register with the
+/// golden register whose D pin carries the same golden-AIG literal. When
+/// that gives no bijection, or the witness rule does not run, registers are
+/// partition-refined by 256-pattern next-state simulation signatures plus
+/// structural cone fingerprints (jointly over both sides, so class ids are
+/// side-independent), then paired within classes. Netlists whose registers
 /// were reordered or renamed therefore still verify; registers with no
 /// signature-compatible partner on the other side are reported via
 /// cec.state-unmatched and no point comparison is attempted (without a state
@@ -80,6 +86,7 @@
 ///                           the full BDD node budget
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,7 +98,7 @@
 namespace vpga::verify {
 
 struct CecOptions {
-  /// Run the structural tier: signatures and the witness rule (disable to
+  /// Run the structural tier: the witness rule and signatures (disable to
   /// benchmark lower tiers).
   bool structural_tier = true;
   /// Union-support ceiling for the exhaustive bit-simulation tier. 16 => at
@@ -153,6 +160,8 @@ struct CecReport {
   long long bdd_cache_hits = 0; ///< computed-cache hits
   int bdd_fallbacks = 0;        ///< attempts that exhausted their node budget
   /// Register-correspondence statistics (zero on purely combinational pairs).
+  /// A witness-paired proof runs no refinement: classes, rounds and
+  /// fallbacks are 0.
   int corr_classes = 0;   ///< refinement classes at the fixpoint
   int corr_rounds = 0;    ///< refinement rounds until the fixpoint
   int corr_permuted = 0;  ///< registers matched away from their position
@@ -166,10 +175,44 @@ struct CecReport {
   }
 };
 
+/// The golden side of the exact proofs against one golden netlist, each
+/// part computed at most once, when a proof first needs it: the netlist's
+/// fingerprint, and for the witness rule aig::from_netlist(golden), every
+/// golden node's checked literal with the count of rejected golden claims,
+/// and the literal on each golden register's D pin. FlowVerifier keeps one
+/// for the whole flow; the two-netlist check_combinational_equivalence
+/// builds one per call. The golden netlist must outlive the baseline and
+/// stay unchanged. A baseline is not thread-safe: concurrent proofs each
+/// use their own.
+class CecBaseline {
+ public:
+  struct Witnesses;  ///< the witness rule's golden side (cec.cpp)
+
+  explicit CecBaseline(const netlist::Netlist& golden);
+  ~CecBaseline();  // defined where Witnesses is complete
+
+  [[nodiscard]] const netlist::Netlist& golden() const { return golden_; }
+  /// netlist_fingerprint(golden()).
+  [[nodiscard]] std::uint64_t fingerprint();
+  /// Built by the first proof that runs the witness rule (span cec.golden).
+  [[nodiscard]] const Witnesses& witnesses();
+
+ private:
+  const netlist::Netlist& golden_;
+  std::optional<std::uint64_t> fingerprint_;
+  std::unique_ptr<Witnesses> witnesses_;
+};
+
 /// Proves or refutes combinational equivalence of every output and next-state
 /// function. Both netlists must be structurally clean (lint first: cone
 /// traversal needs valid references and acyclic logic).
 [[nodiscard]] CecReport check_combinational_equivalence(const netlist::Netlist& golden,
+                                                        const netlist::Netlist& revised,
+                                                        const CecOptions& opts = {});
+
+/// The same proof against a baseline that earlier proofs may have built.
+/// The report is the one the two-netlist call gives for baseline.golden().
+[[nodiscard]] CecReport check_combinational_equivalence(CecBaseline& baseline,
                                                         const netlist::Netlist& revised,
                                                         const CecOptions& opts = {});
 
@@ -187,5 +230,7 @@ struct CecReport {
 /// JSON to that path (the CI exact-gate uploads it as an artifact).
 void check_cec(const netlist::Netlist& golden, const netlist::Netlist& revised,
                const std::string& stage, VerifyReport& report, const CecOptions& opts = {});
+void check_cec(CecBaseline& baseline, const netlist::Netlist& revised, const std::string& stage,
+               VerifyReport& report, const CecOptions& opts = {});
 
 }  // namespace vpga::verify

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <numeric>
 #include <span>
 
+#include "aig/aig.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "netlist/bitsim.hpp"
@@ -265,6 +267,119 @@ RegisterCorrespondence match_registers(const Netlist& golden, const Netlist& rev
     if (corr.perm[d] == RegisterCorrespondence::kNone) corr.unmatched_golden.push_back(d);
     if (corr.inv[d] == RegisterCorrespondence::kNone) corr.unmatched_revised.push_back(d);
     if (corr.perm[d] != RegisterCorrespondence::kNone && corr.perm[d] != d) ++corr.permuted;
+  }
+  return corr;
+}
+
+std::optional<RegisterCorrespondence> match_registers_by_witness(
+    const Netlist& revised, std::span<const std::uint32_t> golden_d,
+    std::span<const std::uint32_t> input_lit) {
+  constexpr std::uint32_t kNone = RegisterCorrespondence::kNone;
+  constexpr std::uint32_t kNoLit = Node::kNoWitness;
+  const std::size_t n = revised.dffs().size();
+  const std::size_t ni = revised.inputs().size();
+  VPGA_ASSERT(golden_d.size() == n && input_lit.size() == ni + n);
+  if (std::find(golden_d.begin(), golden_d.end(), kNoLit) != golden_d.end()) return std::nullopt;
+
+  // Golden registers in (D literal, index) order: each run of one literal is
+  // a group, named by its first position.
+  std::vector<std::uint32_t> golden(n);
+  std::iota(golden.begin(), golden.end(), 0u);
+  std::sort(golden.begin(), golden.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return golden_d[a] != golden_d[b] ? golden_d[a] < golden_d[b] : a < b;
+  });
+  std::vector<std::uint32_t> group_lit(n);
+  for (std::size_t k = 0; k < n; ++k) group_lit[k] = golden_d[golden[k]];
+
+  std::vector<std::uint32_t> slot(revised.num_nodes(), kNone);  // position in inputs() or dffs()
+  for (std::size_t i = 0; i < ni; ++i) slot[revised.inputs()[i].index()] = static_cast<std::uint32_t>(i);
+  for (std::size_t d = 0; d < n; ++d) slot[revised.dffs()[d].index()] = static_cast<std::uint32_t>(d);
+
+  // A D pin resolves to a literal, or to register `reg`'s Q pin, complemented
+  // when `lit` is 1.
+  struct Resolved {
+    std::uint32_t lit = kNoLit;
+    std::uint32_t reg = kNone;
+  };
+  auto resolve = [&](NodeId id) {
+    std::uint32_t neg = 0;
+    for (;;) {
+      const Node& nd = revised.node(id);
+      switch (nd.type) {
+        case NodeType::kComb:
+          if (nd.witness != kNoLit) return Resolved{nd.witness ^ neg};
+          if (nd.num_fanins() != 1 || (nd.func.bits() != 0b10 && nd.func.bits() != 0b01)) {
+            return Resolved{};
+          }
+          neg ^= nd.func.bits() == 0b01 ? 1u : 0u;
+          id = revised.fanin(id, 0);
+          break;
+        case NodeType::kInput:
+          return Resolved{input_lit[slot[id.index()]] ^ neg};
+        case NodeType::kConst:
+          return Resolved{(nd.func.eval(0) ? aig::kTrue : aig::kFalse) ^ neg};
+        case NodeType::kDff:
+          return Resolved{neg, slot[id.index()]};
+        default:
+          return Resolved{};
+      }
+    }
+  };
+
+  RegisterCorrespondence corr;
+  corr.perm.assign(n, kNone);
+  corr.inv.assign(n, kNone);
+  std::vector<std::uint32_t> lit(n, kNoLit);
+  // Registers whose D pin reads register e's Q: a list per e, threaded
+  // through next_waiter, each with its complement bit in lit.
+  std::vector<std::uint32_t> first_waiter(n, kNone);
+  std::vector<std::uint32_t> next_waiter(n, kNone);
+  std::vector<std::uint32_t> ready;
+  ready.reserve(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    const Resolved r = resolve(revised.fanin(revised.dffs()[d], 0));
+    lit[d] = r.lit;
+    if (r.reg != kNone) {
+      next_waiter[d] = first_waiter[r.reg];
+      first_waiter[r.reg] = static_cast<std::uint32_t>(d);
+    } else if (r.lit == kNoLit) {
+      return std::nullopt;
+    } else {
+      ready.push_back(static_cast<std::uint32_t>(d));
+    }
+  }
+  // Revised members of the group starting at golden position k fill
+  // members[k..]; a group pairs ascending as soon as it is full, which makes
+  // the literals of the registers its members feed known.
+  std::vector<std::uint32_t> members(n);
+  std::vector<std::uint32_t> filled(n, 0);
+  while (!ready.empty()) {
+    const std::uint32_t d = ready.back();
+    ready.pop_back();
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(group_lit.begin(), group_lit.end(), lit[d]) - group_lit.begin());
+    if (lo == n || group_lit[lo] != lit[d]) return std::nullopt;
+    const std::size_t hi = static_cast<std::size_t>(
+        std::upper_bound(group_lit.begin() + static_cast<long>(lo), group_lit.end(), lit[d]) -
+        group_lit.begin());
+    if (lo + filled[lo] == hi) return std::nullopt;  // more revised than golden members
+    members[lo + filled[lo]++] = d;
+    if (lo + filled[lo] < hi) continue;
+    std::sort(members.begin() + static_cast<long>(lo), members.begin() + static_cast<long>(hi));
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::uint32_t g = golden[k];
+      const std::uint32_t r = members[k];
+      corr.perm[g] = r;
+      corr.inv[r] = g;
+      for (std::uint32_t w = first_waiter[r]; w != kNone; w = next_waiter[w]) {
+        lit[w] = input_lit[ni + g] ^ lit[w];
+        ready.push_back(w);
+      }
+    }
+  }
+  if (std::find(corr.inv.begin(), corr.inv.end(), kNone) != corr.inv.end()) return std::nullopt;
+  for (std::size_t g = 0; g < n; ++g) {
+    if (corr.perm[g] != g) ++corr.permuted;
   }
   return corr;
 }

@@ -1,14 +1,20 @@
 #pragma once
 /// \file regcorr.hpp
 /// Register correspondence for the exact-equivalence checker (verify/cec.hpp):
-/// which revised register stands for which golden register, found by joint
-/// signature refinement (van Eijk, "Sequential equivalence checking based on
-/// structural similarities", IEEE TCAD 2000). The per-register cone facts
-/// come from backward bitmask sweeps, one per block of 64 roots, and each
-/// refinement round's 256 patterns are one simulator pass per side.
+/// which revised register stands for which golden register. A revised
+/// netlist whose nodes carry witnesses (netlist::Node::witness) pairs its
+/// registers by the golden-AIG literal on their D pins
+/// (match_registers_by_witness). Any other pair, and a witnessed one whose
+/// literals give no bijection, is matched by joint signature refinement (van
+/// Eijk, "Sequential equivalence checking based on structural similarities",
+/// IEEE TCAD 2000; match_registers). Its per-register cone facts come from
+/// backward bitmask sweeps, one per block of 64 roots, and each refinement
+/// round's 256 patterns are one simulator pass per side.
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -55,5 +61,25 @@ struct RegisterCorrespondence {
 /// netlists.
 [[nodiscard]] RegisterCorrespondence match_registers(const netlist::Netlist& golden,
                                                      const netlist::Netlist& revised);
+
+/// Pairs each revised register with the golden register whose D pin carries
+/// the same golden-AIG literal. `golden_d[g]` is the checked literal on
+/// golden register g's D pin; `input_lit` holds the AIG input literal of
+/// every primary input, then of every golden register. The literal on a
+/// revised D pin is its driver's stamped witness, resolved through
+/// witness-less 1-input buffers and inverters as the witness rule does; a
+/// primary input's literal or a constant; or, for a pin driven by register
+/// e, the AIG input of e's golden partner once e is paired. Registers that
+/// share one literal pair in ascending order on both sides. Returns the
+/// correspondence (classes, rounds and fallbacks 0) when this pairs every
+/// register, and nothing otherwise: a literal that is missing, unknown to
+/// the golden side or held by a different number of registers on each
+/// side, or a chain of registers that never reaches a paired one. The
+/// literals are unchecked claims: the witness rule validates the pairing
+/// point by point, so a wrong pair sends points down the ladder and never
+/// proves a wrong design.
+[[nodiscard]] std::optional<RegisterCorrespondence> match_registers_by_witness(
+    const netlist::Netlist& revised, std::span<const std::uint32_t> golden_d,
+    std::span<const std::uint32_t> input_lit);
 
 }  // namespace vpga::verify

@@ -78,7 +78,12 @@ void check_post_map(const Netlist& nl, const PlbArchitecture& arch, const std::s
 
 void check_post_compact(const Netlist& nl, const PlbArchitecture& arch,
                         const std::string& stage, VerifyReport& report) {
-  const TileStateTable table(arch);
+  check_post_compact(nl, arch, TileStateTable(arch), stage, report);
+}
+
+void check_post_compact(const Netlist& nl, const PlbArchitecture& arch,
+                        const TileStateTable& table, const std::string& stage,
+                        VerifyReport& report) {
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
     const NodeId id{i};
     const Node& n = nl.node(id);
@@ -121,6 +126,12 @@ void check_post_compact(const Netlist& nl, const PlbArchitecture& arch,
 void check_post_pack(const Netlist& nl, const pack::PackedDesign& packed,
                      const PlbArchitecture& arch, const std::string& stage,
                      VerifyReport& report) {
+  check_post_pack(nl, packed, arch, TileStateTable(arch), stage, report);
+}
+
+void check_post_pack(const Netlist& nl, const pack::PackedDesign& packed,
+                     const PlbArchitecture& arch, const TileStateTable& table,
+                     const std::string& stage, VerifyReport& report) {
   if (packed.tile_of_node.size() != nl.num_nodes()) {
     report.add(Severity::kError, "pack.tile-bounds", stage, NodeId{},
                "tile assignment covers " + std::to_string(packed.tile_of_node.size()) +
@@ -145,7 +156,6 @@ void check_post_pack(const Netlist& nl, const pack::PackedDesign& packed,
     TileStateTable::State state = TileStateTable::kEmpty;
     int configs = 0;
   };
-  const TileStateTable table(arch);
   std::vector<Occupancy> occupancy(static_cast<std::size_t>(tiles));
   auto occupy = [&](int tile, ConfigKind k) {
     Occupancy& o = occupancy[static_cast<std::size_t>(tile)];

@@ -48,12 +48,20 @@ void check_post_map(const netlist::Netlist& nl, const core::PlbArchitecture& arc
 
 /// Legality of a compacted (configuration-annotated) netlist against the
 /// paper's PLB resource model. Also valid post-buffering, which may only add
-/// BUF free riders.
+/// BUF free riders. `tiles` is `arch`'s tile-state table; the overload
+/// without it builds one.
+void check_post_compact(const netlist::Netlist& nl, const core::PlbArchitecture& arch,
+                        const core::TileStateTable& tiles, const std::string& stage,
+                        VerifyReport& report);
 void check_post_compact(const netlist::Netlist& nl, const core::PlbArchitecture& arch,
                         const std::string& stage, VerifyReport& report);
 
 /// Legality of a packed design: grid bounds, per-tile capacity under the
-/// exact resource model, macro co-location.
+/// exact resource model, macro co-location. `tiles` as for
+/// check_post_compact.
+void check_post_pack(const netlist::Netlist& nl, const pack::PackedDesign& packed,
+                     const core::PlbArchitecture& arch, const core::TileStateTable& tiles,
+                     const std::string& stage, VerifyReport& report);
 void check_post_pack(const netlist::Netlist& nl, const pack::PackedDesign& packed,
                      const core::PlbArchitecture& arch, const std::string& stage,
                      VerifyReport& report);

@@ -38,12 +38,12 @@ VerifyReport FlowVerifier::check(Stage stage, const netlist::Netlist& nl,
       break;
     case Stage::kPostCompact:
     case Stage::kPostBuffer:
-      check_post_compact(nl, arch_, name, local);
+      check_post_compact(nl, arch_, tiles(), name, local);
       break;
     case Stage::kPostPack:
-      check_post_compact(nl, arch_, name, local);
+      check_post_compact(nl, arch_, tiles(), name, local);
       VPGA_ASSERT_MSG(packed != nullptr, "post-pack check needs the PackedDesign");
-      check_post_pack(nl, *packed, arch_, name, local);
+      check_post_pack(nl, *packed, arch_, tiles(), name, local);
       break;
     case Stage::kPostRoute:
       VPGA_ASSERT_MSG(packed != nullptr, "post-route check needs the PackedDesign");
@@ -57,16 +57,17 @@ VerifyReport FlowVerifier::check(Stage stage, const netlist::Netlist& nl,
     if (opts_.level == VerifyLevel::kLintEquiv)
       check_equivalence(*golden, nl, name, local, opts_.equiv);
     else if (opts_.level == VerifyLevel::kExact) {
+      if (!baseline_ || &baseline_->golden() != golden) baseline_.emplace(*golden);
       // The fingerprint is buffer-transparent, so boundaries that did not
       // change the logic function structure — pack, place, route, and the
       // buffering stage itself — skip the re-proof: the last proven pair is
       // the identical proof obligation.
       const std::uint64_t fp =
-          netlist_fingerprint(*golden) * 0x100000001B3ull ^ netlist_fingerprint(nl);
+          baseline_->fingerprint() * 0x100000001B3ull ^ netlist_fingerprint(nl);
       if (cec_has_proven_fp_ && fp == cec_proven_fp_) {
         obs::count("cec.cache_hits");
       } else {
-        check_cec(*golden, nl, name, local, opts_.cec);
+        check_cec(*baseline_, nl, name, local, opts_.cec);
         if (!local.has_errors() && !local.fired("cec.resource-limit")) {
           cec_proven_fp_ = fp;
           cec_has_proven_fp_ = true;
@@ -93,6 +94,11 @@ VerifyReport FlowVerifier::check(Stage stage, const netlist::Netlist& nl,
                       static_cast<std::int64_t>(local.diagnostics().size()),
                       static_cast<std::int64_t>(local.error_count()));
   return local;
+}
+
+const core::TileStateTable& FlowVerifier::tiles() {
+  if (!tiles_) tiles_.emplace(arch_);
+  return *tiles_;
 }
 
 void enforce(const VerifyReport& report) {

@@ -14,6 +14,7 @@
 /// See docs/VERIFY.md for the rule catalogue and the stage contracts.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/plb.hpp"
@@ -61,7 +62,10 @@ class FlowVerifier {
   /// Checks one stage boundary and returns the findings of *this call*
   /// (also accumulated into report()). `golden` enables the equivalence gate
   /// (ignored below kLintEquiv or when the lint found errors); `packed` is
-  /// required at kPostPack and kPostRoute.
+  /// required at kPostPack and kPostRoute. At kExact, the first proof builds
+  /// a CecBaseline of `golden` that every later proof and fingerprint probe
+  /// reuses, so a flow passes the same golden netlist, unchanged, to every
+  /// call (another netlist gets a fresh baseline).
   [[nodiscard]] VerifyReport check(Stage stage, const netlist::Netlist& nl,
                                    const netlist::Netlist* golden = nullptr,
                                    const pack::PackedDesign* packed = nullptr);
@@ -71,9 +75,15 @@ class FlowVerifier {
   [[nodiscard]] bool enabled() const { return opts_.level != VerifyLevel::kOff; }
 
  private:
+  /// arch_'s tile-state table, built by the first check that needs one.
+  const core::TileStateTable& tiles();
+
   const core::PlbArchitecture& arch_;
   VerifyOptions opts_;
   VerifyReport report_;
+  std::optional<core::TileStateTable> tiles_;
+  /// The exact gate's golden side: AIG, checked literals, fingerprint.
+  std::optional<CecBaseline> baseline_;
   /// Buffer-transparent fingerprint of the last (golden, revised) pair the
   /// exact gate proved clean. Stage boundaries that do not rewrite the logic
   /// function structure (buffering, pack, place, route) present the same

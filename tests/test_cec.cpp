@@ -19,6 +19,7 @@
 #include "compact/compact.hpp"
 #include "core/plb.hpp"
 #include "designs/designs.hpp"
+#include "flow/flow.hpp"
 #include "netlist/bitsim.hpp"
 #include "netlist/cone.hpp"
 #include "netlist/netlist.hpp"
@@ -713,6 +714,117 @@ TEST(Cec, WitnessedPermutedFirewireProves) {
   EXPECT_GT(foreign.witness_rejects, 0);
 }
 
+/// The register order last to first: position i holds register n - 1 - i.
+std::vector<std::size_t> reversed_order(std::size_t n) {
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = n - 1 - i;
+  return perm;
+}
+
+TEST(Cec, ReorderedRegistersOfAMappedNetlistProve) {
+  // A mapped netlist with its registers declared in reverse order, against
+  // the generic golden design. The registers pair by the witnesses on their
+  // D pins, so every point settles by witness. The refinement pairs none of
+  // them against a generic golden netlist, and pairing by position refutes
+  // the correct design.
+  const auto arch = core::PlbArchitecture::granular();
+  for (const Netlist& golden :
+       {designs::make_counter(8), designs::make_network_switch(4, 16).netlist}) {
+    const Netlist mapped =
+        synth::tech_map(golden, synth::cell_target(arch), synth::Objective::kDelay).netlist;
+    const CecReport rep = check_combinational_equivalence(
+        golden, permute_registers(mapped, reversed_order(golden.dffs().size())));
+    EXPECT_TRUE(rep.proven()) << golden.name();
+    EXPECT_GT(rep.corr_permuted, 0) << golden.name();
+    EXPECT_EQ(rep.corr_fallbacks, 0) << golden.name();
+    EXPECT_EQ(rep.corr_rounds, 0) << golden.name();
+    EXPECT_EQ(rep.witness_rejects, 0) << golden.name();
+    EXPECT_EQ(rep.tier_struct, rep.checks) << golden.name();
+  }
+}
+
+TEST(Cec, BaselineReuseMatchesFreshProofs) {
+  // One baseline serves a flow's post-map and post-compact proofs: each
+  // report equals a fresh two-netlist proof's, and so do the counters the
+  // exact flow itself reports for its two proofs.
+  for (const auto& arch : {core::PlbArchitecture::granular(), core::PlbArchitecture::lut_based()}) {
+    for (const auto& design : designs::paper_suite(0.15)) {
+      const std::string what = design.netlist.name() + " on " + arch.name;
+      const auto mapped =
+          synth::tech_map(design.netlist, synth::cell_target(arch), synth::Objective::kDelay);
+      const auto compacted = compact::compact_from(design.netlist, mapped.netlist, arch);
+      CecBaseline baseline(design.netlist);
+      std::vector<CecReport> fresh;
+      for (const Netlist* stage : {&mapped.netlist, &compacted.netlist}) {
+        const CecReport reused = check_combinational_equivalence(baseline, *stage);
+        fresh.push_back(check_combinational_equivalence(design.netlist, *stage));
+        expect_same_report(reused, fresh.back());
+        EXPECT_TRUE(reused.proven()) << what;
+        EXPECT_EQ(reused.corr_rounds, 0) << what;
+        EXPECT_EQ(reused.corr_fallbacks, 0) << what;
+      }
+      flow::FlowOptions opts;
+      opts.verify_level = VerifyLevel::kExact;
+      opts.metrics = true;
+      const flow::FlowReport rep = flow::run_flow(design, arch, 'a', opts);
+      auto sum = [&fresh](auto field) {
+        return static_cast<long long>(fresh[0].*field) + static_cast<long long>(fresh[1].*field);
+      };
+      EXPECT_EQ(rep.obs.counter("cec.points"), sum(&CecReport::checks)) << what;
+      EXPECT_EQ(rep.obs.counter("cec.tier_resolved.structural"), sum(&CecReport::tier_struct))
+          << what;
+      EXPECT_EQ(rep.obs.counter("cec.witness_rejects"), sum(&CecReport::witness_rejects)) << what;
+      EXPECT_EQ(rep.obs.counter("cec.corr_permuted"), sum(&CecReport::corr_permuted)) << what;
+      EXPECT_EQ(rep.obs.counter("cec.corr_rounds"), 0) << what;
+      EXPECT_EQ(rep.obs.counter("cec.corr_classes"), 0) << what;
+      EXPECT_EQ(rep.obs.counter("cec.corr_fallbacks"), 0) << what;
+      EXPECT_EQ(rep.obs.counter("cec.cache_hits"), 1) << what;
+    }
+  }
+}
+
+TEST(Cec, UnwitnessedPairsKeepEveryTierCounter) {
+  // Pairs without witnesses take the refinement and the signature, table,
+  // exhaustive and BDD tiers exactly as before the proofs shared a golden
+  // baseline (the counts are the ones the checker gave then).
+  struct Want {
+    int checks, tier_struct, tier_table, tier_exhaustive, tier_bdd;
+    long long bdd_nodes, bdd_ite_calls, bdd_cache_hits;
+    int corr_classes, corr_rounds, corr_permuted, corr_fallbacks;
+  };
+  auto expect = [](const CecReport& rep, const Want& want, const std::string& what) {
+    EXPECT_TRUE(rep.proven()) << what;
+    EXPECT_EQ(rep.checks, want.checks) << what;
+    EXPECT_EQ(rep.tier_struct, want.tier_struct) << what;
+    EXPECT_EQ(rep.tier_table, want.tier_table) << what;
+    EXPECT_EQ(rep.tier_exhaustive, want.tier_exhaustive) << what;
+    EXPECT_EQ(rep.tier_bdd, want.tier_bdd) << what;
+    EXPECT_EQ(rep.tier_sat, 0) << what;
+    EXPECT_EQ(rep.witness_rejects, 0) << what;
+    EXPECT_EQ(rep.bdd_nodes, want.bdd_nodes) << what;
+    EXPECT_EQ(rep.bdd_ite_calls, want.bdd_ite_calls) << what;
+    EXPECT_EQ(rep.bdd_cache_hits, want.bdd_cache_hits) << what;
+    EXPECT_EQ(rep.corr_classes, want.corr_classes) << what;
+    EXPECT_EQ(rep.corr_rounds, want.corr_rounds) << what;
+    EXPECT_EQ(rep.corr_permuted, want.corr_permuted) << what;
+    EXPECT_EQ(rep.corr_fallbacks, want.corr_fallbacks) << what;
+  };
+  expect(check_combinational_equivalence(designs::make_ripple_adder(14),
+                                         designs::make_prefix_adder(14)),
+         {15, 0, 2, 5, 8, 1719, 2103, 356, 0, 0, 0, 0}, "ripple vs prefix");
+  const Netlist counter = designs::make_counter(8);
+  expect(check_combinational_equivalence(
+             counter, permute_registers(counter, reversed_order(counter.dffs().size()))),
+         {16, 16, 0, 0, 0, 0, 0, 0, 8, 1, 8, 0}, "counter vs reversed counter");
+  const designs::BenchmarkDesign alu = designs::make_alu(8);
+  const Netlist mapped = synth::tech_map(alu.netlist,
+                                         synth::cell_target(core::PlbArchitecture::granular()),
+                                         synth::Objective::kDelay)
+                             .netlist;
+  expect(check_combinational_equivalence(alu.netlist, strip_witnesses(mapped)),
+         {37, 28, 0, 4, 5, 3669, 7242, 2115, 56, 2, 0, 28}, "ALU vs stripped mapped ALU");
+}
+
 /// The post-map netlist of `design` on `arch` with one seeded mutation: an
 /// inverted output, or a gate whose function is complemented.
 Netlist mapped_mutant(const designs::BenchmarkDesign& design, const core::PlbArchitecture& arch,
@@ -1173,6 +1285,105 @@ TEST(RegCorr, TwinRegistersAndLeafRootsMatchTheReference) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(corr.perm[perm[i]], i);
     EXPECT_EQ(corr.fallbacks, 0);
   }
+}
+
+/// The literals match_registers_by_witness reads off a golden netlist: the
+/// AIG literal on each register's D pin, and each AIG input's literal.
+struct GoldenLits {
+  std::vector<std::uint32_t> d;
+  std::vector<std::uint32_t> inputs;
+};
+
+GoldenLits golden_lits(const aig::AigMapping& m) {
+  GoldenLits g;
+  for (std::size_t r = 0; r < m.num_latches; ++r) g.d.push_back(m.aig.outputs()[m.num_pos + r]);
+  for (const std::uint32_t in : m.aig.inputs()) g.inputs.push_back(aig::lit(in, false));
+  return g;
+}
+
+/// Registers a, b = a, c = !b and t, with t and a on one D node: a chain
+/// through a register and a witness-less inverter, and a tie.
+Netlist make_chained_registers() {
+  Netlist nl("chains");
+  const NodeId x = nl.add_input("x");
+  const NodeId en = nl.add_input("en");
+  const NodeId g = nl.add_and(x, en);
+  const NodeId a = nl.add_dff(g, "a");
+  const NodeId b = nl.add_dff(a, "b");
+  const NodeId c = nl.add_dff(nl.add_not(b), "c");
+  const NodeId t = nl.add_dff(g, "t");
+  nl.add_output(nl.add_xor(c, x), "y");
+  nl.add_output(nl.add_or(t, en), "z");
+  return nl;
+}
+
+/// `nl` with every comb node but its inverters stamped with its own
+/// aig::from_netlist literal, as tech_map stamps the cells it emits.
+Netlist stamped_but_inverters(const Netlist& nl, const aig::AigMapping& m) {
+  Netlist out = nl;
+  for (const NodeId id : out.all_nodes()) {
+    Node& n = out.node(id);
+    if (n.type == NodeType::kComb && !(n.num_fanins() == 1 && n.func.bits() == 0b01)) {
+      n.witness = m.node_lit[id.index()];
+    }
+  }
+  return out;
+}
+
+TEST(RegCorr, WitnessPairingFollowsRegisterChainsAndTies) {
+  // b reads a's Q and c reads b's through a witness-less inverter, so their
+  // literals are known once a and b are paired; a and t share one D
+  // literal and pair in ascending order on both sides.
+  const Netlist golden = make_chained_registers();
+  const aig::AigMapping m = aig::from_netlist(golden);
+  const GoldenLits lits = golden_lits(m);
+  const Netlist stamped = stamped_but_inverters(golden, m);
+  const std::vector<std::size_t> perm = {2, 0, 3, 1};  // c, a, t, b: a stays before t
+  const Netlist revised = permute_registers(stamped, perm);
+  const auto corr = match_registers_by_witness(revised, lits.d, lits.inputs);
+  ASSERT_TRUE(corr.has_value());
+  for (std::size_t i = 0; i < perm.size(); ++i) EXPECT_EQ(corr->perm[perm[i]], i);
+  EXPECT_EQ(corr->permuted, 4);
+  EXPECT_EQ(corr->classes, 0);
+  EXPECT_EQ(corr->rounds, 0);
+  EXPECT_EQ(corr->fallbacks, 0);
+  const CecReport rep = check_combinational_equivalence(golden, revised);
+  EXPECT_TRUE(rep.proven());
+  EXPECT_EQ(rep.tier_struct, rep.checks);
+  EXPECT_EQ(rep.witness_rejects, 0);
+  EXPECT_EQ(rep.corr_rounds, 0);
+  EXPECT_EQ(rep.corr_permuted, 4);
+
+  // Reversed, the tie pairs golden a with t's copy, the lower revised
+  // index. b's copy then reads the partner of golden t, a literal no golden
+  // D pin carries: no bijection, so the refinement pairs the registers.
+  const Netlist backwards = permute_registers(stamped, reversed_order(perm.size()));
+  EXPECT_FALSE(match_registers_by_witness(backwards, lits.d, lits.inputs).has_value());
+  const CecReport refined = check_combinational_equivalence(golden, backwards);
+  EXPECT_TRUE(refined.proven());
+  EXPECT_GT(refined.corr_rounds, 0);
+  EXPECT_EQ(refined.corr_fallbacks, 0);
+  EXPECT_EQ(refined.corr_permuted, match_registers(golden, backwards).permuted);
+}
+
+TEST(RegCorr, UnresolvableStampRunsTheRefinement) {
+  // A D pin driven by a gate without a witness has no literal to pair by,
+  // so the proof runs today's refinement and reports its rounds, classes and
+  // fallbacks, exactly as match_registers gives them.
+  const Netlist golden = make_chained_registers();
+  const aig::AigMapping m = aig::from_netlist(golden);
+  Netlist revised = permute_registers(stamped_but_inverters(golden, m), {2, 0, 3, 1});
+  revised.node(revised.fanin(revised.dffs()[1], 0)).witness = Node::kNoWitness;
+  const GoldenLits lits = golden_lits(m);
+  EXPECT_FALSE(match_registers_by_witness(revised, lits.d, lits.inputs).has_value());
+  const RegisterCorrespondence want = match_registers(golden, revised);
+  const CecReport rep = check_combinational_equivalence(golden, revised);
+  EXPECT_TRUE(rep.proven());
+  EXPECT_GT(rep.corr_rounds, 0);
+  EXPECT_EQ(rep.corr_rounds, want.rounds);
+  EXPECT_EQ(rep.corr_classes, want.classes);
+  EXPECT_EQ(rep.corr_permuted, want.permuted);
+  EXPECT_EQ(rep.corr_fallbacks, want.fallbacks);
 }
 
 }  // namespace

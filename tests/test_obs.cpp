@@ -443,27 +443,59 @@ TEST(FlowObs, ExactRunNestsCecTierSpansUnderTheProof) {
   EXPECT_FALSE(rep.obs.has_span("cec.miter"));
 }
 
-TEST(FlowObs, EveryProofTracesItsCorrespondenceAndSignatures) {
-  // Register correspondence and the structural signatures are the front end
-  // of every exact proof: in a sequential design's exact flow, each
-  // verify.cec span holds exactly one of each as a direct child.
+TEST(FlowObs, EveryProofTracesItsCorrespondenceAndSignsOnlyOpenPoints) {
+  // Register correspondence is the front end of every exact proof: in a
+  // sequential design's exact flow, each verify.cec span holds exactly one
+  // cec.corr as a direct child. The golden side of the witness rule is
+  // built once per flow, in the first proof's cec.golden. Signatures are
+  // computed only for a point its witnesses leave open, each in its own
+  // cec.signatures span, so the flow, whose points all settle by witness,
+  // signs nothing.
   flow::FlowOptions opts;
   opts.trace = true;
   opts.verify_level = verify::VerifyLevel::kExact;
-  const auto rep = flow::run_flow(designs::make_firewire(4, 8),
-                                  core::PlbArchitecture::granular(), 'a', opts);
-  ASSERT_GT(rep.obs.span_count("verify.cec"), 0);
+  const auto design = designs::make_firewire(4, 8);
+  const auto arch = core::PlbArchitecture::granular();
+  const auto rep = flow::run_flow(design, arch, 'a', opts);
+  ASSERT_GT(rep.obs.span_count("verify.cec"), 1);
   for (const SpanRecord& p : rep.obs.spans) {
     if (p.name != "verify.cec") continue;
-    for (const std::string_view child : {"cec.corr", "cec.signatures"}) {
-      const auto children =
-          std::count_if(rep.obs.spans.begin(), rep.obs.spans.end(),
-                        [&](const SpanRecord& s) { return s.name == child && child_of(s, p); });
-      EXPECT_EQ(children, 1) << child << " under verify.cec at " << p.start_us << " us";
-    }
+    const auto children =
+        std::count_if(rep.obs.spans.begin(), rep.obs.spans.end(),
+                      [&](const SpanRecord& s) { return s.name == "cec.corr" && child_of(s, p); });
+    EXPECT_EQ(children, 1) << "cec.corr under verify.cec at " << p.start_us << " us";
   }
   EXPECT_EQ(rep.obs.span_count("cec.corr"), rep.obs.span_count("verify.cec"));
-  EXPECT_EQ(rep.obs.span_count("cec.signatures"), rep.obs.span_count("verify.cec"));
+  EXPECT_EQ(rep.obs.span_count("cec.golden"), 1);
+  EXPECT_EQ(rep.obs.span_count("cec.signatures"), 0);
+
+  // Without witnesses every point is open and signed; in a witnessed
+  // mutant whose last output is inverted, only that output is.
+  const auto mapped =
+      synth::tech_map(design.netlist, synth::cell_target(arch), synth::Objective::kDelay).netlist;
+  netlist::Netlist mutant = mapped;
+  const netlist::NodeId last = mutant.outputs().back();
+  mutant.set_fanin(last, 0, mutant.add_not(mutant.fanin(last, 0)));
+  for (const auto& [revised, open] :
+       {std::pair<netlist::Netlist, long long>{strip_witnesses(mapped), -1}, {mutant, 1}}) {
+    ObsContext ctx(/*trace=*/true, /*metrics=*/true);
+    {
+      const ScopedObs bind(&ctx);
+      verify::VerifyReport proof;
+      verify::check_cec(design.netlist, revised, "post-map", proof);
+    }
+    const ObsReport direct = ctx.report();
+    const long long want = open < 0 ? direct.counter("cec.points") : open;
+    EXPECT_GT(want, 0);
+    EXPECT_EQ(direct.span_count("cec.signatures"), want);
+    const SpanRecord& proof = *std::find_if(direct.spans.begin(), direct.spans.end(),
+                                            [](const SpanRecord& s) { return s.name == "verify.cec"; });
+    for (const SpanRecord& s : direct.spans) {
+      if (s.name == "cec.signatures") {
+        EXPECT_TRUE(child_of(s, proof)) << s.start_us << " us";
+      }
+    }
+  }
 }
 
 TEST(FlowObs, OneSubjectServesTheMapAndEveryPricingRound) {

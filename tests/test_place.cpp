@@ -369,5 +369,34 @@ TEST(Place, PlacerMatchesReferencePlace) {
   }
 }
 
+TEST(Place, EarlyMetropolisRejectionKeepsEveryVerdict) {
+  // The annealer rejects an uphill move without std::exp when its cubic
+  // bound already rules it out. Over random (u, x) pairs with x in
+  // [0, 900], dense near 0 where the bound is tight, and over pairs on each
+  // side of u = exp(-x), it may only ever reject what u < exp(-x) rejects,
+  // and it must skip the call on most of the random pairs.
+  common::Rng rng(0x3E7A);
+  long long skipped = 0;
+  constexpr long long kPairs = 20'000'000;
+  for (long long i = 0; i < kPairs; ++i) {
+    const double v = rng.next_double();
+    const double x = 900.0 * v * v * v;
+    const double u = rng.next_double();
+    if (!metropolis_rejects_early(u, x)) continue;
+    ++skipped;
+    ASSERT_FALSE(u < std::exp(-x)) << "u " << u << ", x " << x;
+  }
+  EXPECT_GT(skipped, kPairs / 2);
+  for (int i = 0; i < 100'000; ++i) {
+    const double x = 30.0 * rng.next_double();
+    const double e = std::exp(-x);
+    for (const double u : {std::nextafter(e, 0.0), e, std::nextafter(e, 1.0)}) {
+      EXPECT_FALSE(metropolis_rejects_early(u, x) && u < e) << "u " << u << ", x " << x;
+    }
+  }
+  EXPECT_FALSE(metropolis_rejects_early(0.0, 0.0));
+  EXPECT_FALSE(metropolis_rejects_early(0.999999, 0.0));
+}
+
 }  // namespace
 }  // namespace vpga::place
