@@ -51,8 +51,9 @@ int main() {
       "Reading: the smallest track count with zero overflow is the routing\n"
       "fabric a regular (prefabricated) VPGA metal stack must provide. The\n"
       "router negotiates L-shape orientations, then detours each connection\n"
-      "that still overflows once through a congestion-priced maze search; it\n"
-      "does not iterate to zero overflow, so these counts are conservative.\n"
+      "that still overflows once through a congestion-priced maze search\n"
+      "inside its bounding box widened by 3 tiles; it does not iterate to\n"
+      "zero overflow, so these counts are conservative.\n"
       "The denser granular array also routes with fewer tracks: shorter nets\n"
       "over a smaller die.\n");
   return 0;

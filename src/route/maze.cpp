@@ -19,16 +19,16 @@ std::int64_t edge_cost(int usage, int capacity) {
 
 constexpr std::uint64_t kNoKey = std::numeric_limits<std::uint64_t>::max();
 
-/// dist[i] = summed cost of the cuts between position i and `target` of
-/// positions 0..n−1, where cut k, of cost cut_cost(k), separates positions k
-/// and k + 1.
+/// dist[i] = summed cost of the cuts between position i and `target`, for
+/// the positions lo..hi only, where cut k, of cost cut_cost(k), separates
+/// positions k and k + 1.
 template <typename CutCost>
-void cut_distances(int n, int target, const CutCost& cut_cost, std::vector<std::int64_t>& dist) {
-  dist.resize(static_cast<std::size_t>(n));
+void cut_distances(int lo, int hi, int target, const CutCost& cut_cost,
+                   std::vector<std::int64_t>& dist) {
   dist[static_cast<std::size_t>(target)] = 0;
-  for (int i = target - 1; i >= 0; --i)
+  for (int i = target - 1; i >= lo; --i)
     dist[static_cast<std::size_t>(i)] = dist[static_cast<std::size_t>(i) + 1] + cut_cost(i);
-  for (int i = target + 1; i < n; ++i)
+  for (int i = target + 1; i <= hi; ++i)
     dist[static_cast<std::size_t>(i)] = dist[static_cast<std::size_t>(i) - 1] + cut_cost(i - 1);
 }
 
@@ -132,8 +132,10 @@ int MazeSearch::pop() {
   return node;
 }
 
-int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
+int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity, const Box& box) {
   const int w = g.w(), h = g.h();
+  VPGA_ASSERT(0 <= box.x0 && box.x0 <= box.x1 && box.x1 < w && 0 <= box.y0 &&
+              box.y0 <= box.y1 && box.y1 < h);
   const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
   if (nodes_.size() < n) nodes_.resize(n);
   if (coords_w_ != w || coords_.size() < n) {
@@ -142,6 +144,8 @@ int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
       for (int x = 0; x < w; ++x) coords_[static_cast<std::size_t>(v++)] = Coord{x, y};
     coords_w_ = w;
   }
+  if (h_col_.size() < static_cast<std::size_t>(w)) h_col_.resize(static_cast<std::size_t>(w));
+  if (h_row_.size() < static_cast<std::size_t>(h)) h_row_.resize(static_cast<std::size_t>(h));
   if (++epoch_ == 0) {  // stamps wrapped: forget them all
     for (Node& s : nodes_) s.seen = 0;
     epoch_ = 1;
@@ -153,6 +157,10 @@ int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
   const std::int64_t c_max = edge_cost(g.usage_bound(), capacity);
   const Coord from = coords_[static_cast<std::size_t>(src)];
   const Coord to = coords_[static_cast<std::size_t>(dst)];
+  const auto inside = [&box](Coord c) {
+    return box.x0 <= c.x && c.x <= box.x1 && box.y0 <= c.y && c.y <= box.y1;
+  };
+  VPGA_ASSERT(inside(from) && inside(to));
   VPGA_ASSERT((std::abs(from.x - to.x) + std::abs(from.y - to.y) + 2) * c_max <=
               std::numeric_limits<std::uint32_t>::max());
   // More than 2·c_max + 1 buckets, and at least one bitmap word of them.
@@ -166,9 +174,13 @@ int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
   // Heuristic: any path to the sink crosses every column cut and every row
   // cut between a node and the sink, each at no less than the cost of the
   // cut's least-used edge. An edge changes h by at most its own cost, so h
-  // is consistent and the popped f = g + h never decreases.
-  cut_distances(w, dst % w, [&](int x) { return edge_cost(g.col_cut_min(x), capacity); }, h_col_);
-  cut_distances(h, dst / w, [&](int y) { return edge_cost(g.row_cut_min(y), capacity); }, h_row_);
+  // is consistent and the popped f = g + h never decreases. A path that
+  // stays in the box crosses the same cuts, so h bounds it too, and only
+  // the box's columns and rows need a value.
+  cut_distances(box.x0, box.x1, to.x,
+                [&](int x) { return edge_cost(g.col_cut_min(x), capacity); }, h_col_);
+  cut_distances(box.y0, box.y1, to.y,
+                [&](int y) { return edge_cost(g.row_cut_min(y), capacity); }, h_row_);
 
   nodes_[static_cast<std::size_t>(src)].g = 0;
   nodes_[static_cast<std::size_t>(src)].seen = epoch_;
@@ -203,10 +215,10 @@ int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
     const auto [x, y] = coords_[static_cast<std::size_t>(v)];
     const std::int64_t hx = h_col_[static_cast<std::size_t>(x)];
     const std::int64_t hy = h_row_[static_cast<std::size_t>(y)];
-    if (x + 1 < w) relax(v + 1, g.h_edge(x, y), h_col_[static_cast<std::size_t>(x) + 1] + hy);
-    if (x > 0) relax(v - 1, g.h_edge(x - 1, y), h_col_[static_cast<std::size_t>(x) - 1] + hy);
-    if (y + 1 < h) relax(v + w, g.v_edge(x, y), hx + h_row_[static_cast<std::size_t>(y) + 1]);
-    if (y > 0) relax(v - w, g.v_edge(x, y - 1), hx + h_row_[static_cast<std::size_t>(y) - 1]);
+    if (x < box.x1) relax(v + 1, g.h_edge(x, y), h_col_[static_cast<std::size_t>(x) + 1] + hy);
+    if (x > box.x0) relax(v - 1, g.h_edge(x - 1, y), h_col_[static_cast<std::size_t>(x) - 1] + hy);
+    if (y < box.y1) relax(v + w, g.v_edge(x, y), hx + h_row_[static_cast<std::size_t>(y) + 1]);
+    if (y > box.y0) relax(v - w, g.v_edge(x, y - 1), hx + h_row_[static_cast<std::size_t>(y) - 1]);
   }
   // Empty the ring for the next search: the keys still queued lie in
   // [cursor_, cursor_ + 2·c_max], less than one turn of the ring.
@@ -233,11 +245,11 @@ int MazeSearch::route(UsageGrid& g, int src, int dst, int capacity) {
           (nv.g == nodes_[static_cast<std::size_t>(best)].g && v < best))
         best = v;
     };
-    const int x = u % w, y = u / w;
-    if (x + 1 < w) consider(x + 1, y, g.h_edge(x, y));
-    if (x > 0) consider(x - 1, y, g.h_edge(x - 1, y));
-    if (y + 1 < h) consider(x, y + 1, g.v_edge(x, y));
-    if (y > 0) consider(x, y - 1, g.v_edge(x, y - 1));
+    const auto [x, y] = coords_[static_cast<std::size_t>(u)];
+    if (x < box.x1) consider(x + 1, y, g.h_edge(x, y));
+    if (x > box.x0) consider(x - 1, y, g.h_edge(x - 1, y));
+    if (y < box.y1) consider(x, y + 1, g.v_edge(x, y));
+    if (y > box.y0) consider(x, y - 1, g.v_edge(x, y - 1));
     VPGA_ASSERT(best >= 0);
     u = best;
     path_.push_back(u);

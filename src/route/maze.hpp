@@ -5,15 +5,18 @@
 /// `route()` (router.hpp) hands every connection whose L-shape still
 /// overflows after orientation negotiation to `MazeSearch::route`: a
 /// least-cost path under the edge cost 1 + 4·over², where
-/// over = usage + 1 − capacity when positive. The search is A* over integer
-/// costs on Dial's bucket ring keyed by f = g + h, where a cheaper g moves a
-/// queued node to its new bucket (decrease-key) instead of queueing it again.
-/// Its heuristic sums, over the column and row cuts between a node and the
-/// sink, the cost of each cut's least-used edge. It settles exactly the
-/// nodes with f ≤ f*, whatever the order within a bucket, and walks back
-/// through the tight neighbour of least (g, index), so it returns exactly the
-/// path that a Dijkstra popping in (distance, node index) order and relaxing
-/// on a strict `<` records (docs/ALGORITHMS.md, "Routing & extraction").
+/// over = usage + 1 − capacity when positive, among the paths that stay
+/// inside a search box (router.cpp passes the connection's bounding box,
+/// widened). The search is A* over integer costs on Dial's bucket ring keyed
+/// by f = g + h, where a cheaper g moves a queued node to its new bucket
+/// (decrease-key) instead of queueing it again. Its heuristic sums, over the
+/// column and row cuts between a node and the sink, the cost of each cut's
+/// least-used edge. It settles exactly the box's nodes with f ≤ f*,
+/// whatever the order within a bucket, and walks back through the tight
+/// neighbour of least (g, index), so it returns exactly the path that a
+/// Dijkstra confined to the box, popping in (distance, node index) order and
+/// relaxing on a strict `<`, records (docs/ALGORITHMS.md, "Routing &
+/// extraction").
 
 #include <cstddef>
 #include <cstdint>
@@ -77,16 +80,23 @@ class UsageGrid {
   std::vector<Cut> row_cuts_;  // h-1
 };
 
+/// The tiles (x, y) with x0 ≤ x ≤ x1 and y0 ≤ y ≤ y1.
+struct Box {
+  int x0, y0, x1, y1;
+};
+
 /// Maze search whose scratch (an epoch-stamped node array, a coordinate
 /// table and the bucket ring) is reused by every call and allocated by the
 /// first. One instance serves the connections of one route() call and is
 /// never shared between threads.
 class MazeSearch {
  public:
-  /// Routes node `src` to node `dst` of `g` at the least total cost, adds
-  /// one unit of usage to every edge of the path and returns its length in
-  /// edges.
-  int route(UsageGrid& g, int src, int dst, int capacity);
+  /// Routes node `src` to node `dst` of `g` at the least total cost over
+  /// the paths that stay inside `box`, which lies in the grid and holds
+  /// both nodes, adds one unit of usage to every edge of the path and
+  /// returns its length in edges. The search's work and its heuristic's
+  /// set-up follow the box, not the grid.
+  int route(UsageGrid& g, int src, int dst, int capacity, const Box& box);
 
   /// Nodes of the last path, sink first and source last.
   [[nodiscard]] const std::vector<int>& path() const { return path_; }
@@ -127,8 +137,8 @@ class MazeSearch {
   std::vector<std::uint64_t> occupied_;
   std::uint64_t cursor_ = 0;  // key of the last pop, the least queued key
   std::size_t queued_ = 0;
-  std::vector<std::int64_t> h_col_;  // heuristic share of each column
-  std::vector<std::int64_t> h_row_;  // heuristic share of each row
+  std::vector<std::int64_t> h_col_;  // heuristic share of each column, valid in the box
+  std::vector<std::int64_t> h_row_;  // heuristic share of each row, valid in the box
   std::vector<int> path_;
   long long expansions_ = 0;
 };

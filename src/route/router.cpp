@@ -20,6 +20,19 @@ struct TwoPin {
   int x0, y0, x1, y1;
 };
 
+/// Tiles by which a maze repair may stray beyond its connection's bounding
+/// box: VPR's default `bb_factor` (Betz and Rose, FPL 1997).
+constexpr int kMazeBoxMargin = 3;
+
+/// The search box of a maze repair: the connection's bounding box widened
+/// by kMazeBoxMargin and clipped to the w×h grid.
+Box search_box(const TwoPin& c, int w, int h) {
+  return Box{std::max(0, std::min(c.x0, c.x1) - kMazeBoxMargin),
+             std::max(0, std::min(c.y0, c.y1) - kMazeBoxMargin),
+             std::min(w - 1, std::max(c.x0, c.x1) + kMazeBoxMargin),
+             std::min(h - 1, std::max(c.y0, c.y1) + kMazeBoxMargin)};
+}
+
 /// Applies an L-route (x-first or y-first) to the usage grid; returns the
 /// maximum edge usage seen (for orientation choice) without double-walking.
 int walk_l(UsageGrid& g, const TwoPin& c, bool x_first, int delta) {
@@ -205,8 +218,9 @@ RoutingResult route(const Netlist& nl, const place::Placement& placed, double ti
   }
 
   // Final repair: connections still riding overloaded edges abandon their
-  // L-shape for a congestion-priced maze detour (maze.hpp). The search's
-  // scratch is reused by every connection of this call.
+  // L-shape for a congestion-priced maze detour (maze.hpp) inside their
+  // search box. The search's scratch is reused by every connection of this
+  // call.
   std::vector<int> edges_of(pins.size());
   for (std::size_t i = 0; i < pins.size(); ++i)
     edges_of[i] = std::abs(pins[i].x1 - pins[i].x0) + std::abs(pins[i].y1 - pins[i].y0);
@@ -221,7 +235,8 @@ RoutingResult route(const Netlist& nl, const place::Placement& placed, double ti
         walk_l(grid, pins[i], x_first[i] != 0, -1);
         ++maze_routes;
         edges_of[i] = maze.route(grid, grid.node(pins[i].x0, pins[i].y0),
-                                 grid.node(pins[i].x1, pins[i].y1), opts.capacity_per_edge);
+                                 grid.node(pins[i].x1, pins[i].y1), opts.capacity_per_edge,
+                                 search_box(pins[i], r.grid_w, r.grid_h));
       }
       maze_expansions = maze.expansions();
     }

@@ -9,7 +9,8 @@
 /// as the less congested L-shape; rip-up rounds then re-choose the
 /// orientation of connections through overloaded edges. Connections that
 /// still overflow are re-routed once by a congestion-priced A* maze search
-/// over the whole grid (maze.hpp), which may detour.
+/// (maze.hpp), which may detour within the connection's bounding box widened
+/// by 3 tiles (VPR's default `bb_factor`).
 
 #include <vector>
 

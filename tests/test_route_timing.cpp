@@ -12,6 +12,7 @@
 
 #include "compact/compact.hpp"
 #include "designs/designs.hpp"
+#include "flow/flow.hpp"
 #include "obs/obs.hpp"
 #include "place/placement.hpp"
 #include "route/maze.hpp"
@@ -126,49 +127,63 @@ std::uint64_t fnv1a(const std::vector<int>& values) {
 
 // At these capacities most connections fall through orientation negotiation
 // into maze repair, so the search decides the routes. The routes were
-// recorded from the full-grid Dijkstra that the A* search replaced, and the
-// settled-node counts from the A* on a radix heap that the bucket ring
-// replaced: the settled set does not depend on the queue's pop order.
+// recorded from a router whose repair ran reference_maze_route (below) in
+// each connection's search box instead of MazeSearch, and the settled-node
+// counts from MazeSearch itself: the settled set does not depend on the
+// queue's pop order.
 TEST(Route, MazeRepairResultsPinned) {
   {
     const auto p = prepare(designs::make_alu(8).netlist);
     const auto run = route_counted(p, 2);
     EXPECT_EQ(run.maze_routes, 443);
-    EXPECT_EQ(run.result.total_wirelength_um, 7496.0);
-    EXPECT_EQ(run.result.overflow_edges, 136);
+    EXPECT_EQ(run.result.total_wirelength_um, 7400.0);
+    EXPECT_EQ(run.result.overflow_edges, 137);
     EXPECT_EQ(run.result.peak_congestion, 5.0);
     constexpr int kTiles[] = {
-        26, 5, 2, 1, 4, 5, 0, 0, 5, 5, 26, 1, 2, 3, 2, 1, 5, 9, 9, 7, 8, 12, 13, 13, 12,
-        14, 8, 14, 16, 12, 8, 7, 6, 8, 2, 22, 11, 5, 4, 1, 1, 1, 2, 2, 1, 2, 0, 1, 4, 7, 1,
-        5, 2, 6, 0, 5, 9, 22, 1, 9, 1, 1, 6, 1, 4, 2, 1, 6, 3, 1, 2, 0, 2, 0, 2, 3, 2, 3,
-        1, 3, 1, 3, 1, 4, 1, 2, 5, 1, 0, 3, 9, 2, 0, 2, 1, 3, 1, 2, 1, 1, 0, 2, 4, 2, 4, 2,
-        3, 3, 2, 3, 2, 3, 3, 3, 4, 5, 1, 2, 2, 1, 4, 2, 9, 1, 6, 3, 2, 8, 1, 1, 3, 2, 1, 3,
-        1, 11, 0, 3, 2, 2, 2, 5, 4, 2, 3, 0, 3, 0, 4, 4, 2, 4, 0, 2, 3, 1, 7, 2, 2, 2, 1,
-        1, 3, 17, 0, 3, 1, 13, 1, 12, 2, 1, 2, 17, 1, 3, 2, 2, 5, 4, 3, 3, 4, 3, 3, 17, 1,
-        3, 7, 2, 2, 9, 6, 2, 1, 2, 4, 3, 2, 2, 6, 1, 1, 6, 2, 1, 15, 3, 2, 0, 2, 1, 0, 1,
-        3, 1, 2, 0, 5, 1, 1, 5, 3, 1, 2, 4, 3, 1, 0, 1, 3, 1, 1, 1, 2, 3, 4, 1, 1, 1, 1, 7,
-        2, 0, 0, 4, 3, 2, 3, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        12, 5, 2, 1, 4, 5, 0, 0, 5, 5, 6, 1, 2, 3, 2, 1, 5, 9, 9, 7, 8, 12, 13, 13, 12, 14, 8, 14,
+        16, 12, 8, 7, 6, 8, 2, 22, 11, 5, 4, 1, 1, 1, 2, 2, 1, 2, 0, 1, 4, 7, 1, 5, 2, 6, 0, 17, 9,
+        20, 1, 9, 1, 1, 6, 1, 4, 2, 1, 8, 3, 1, 2, 0, 2, 0, 2, 3, 2, 3, 1, 3, 1, 3, 1, 4, 1, 2, 3,
+        1, 0, 3, 11, 2, 0, 2, 1, 3, 1, 2, 1, 1, 0, 2, 4, 2, 4, 2, 3, 3, 2, 3, 2, 3, 3, 3, 4, 5, 1,
+        2, 2, 1, 4, 2, 9, 1, 6, 3, 4, 8, 1, 1, 3, 2, 1, 5, 1, 11, 0, 7, 2, 2, 2, 5, 4, 2, 3, 0, 3,
+        0, 4, 4, 2, 4, 0, 2, 3, 1, 7, 2, 2, 2, 1, 1, 3, 15, 0, 3, 1, 13, 1, 8, 2, 1, 2, 17, 1, 3,
+        2, 2, 5, 4, 3, 3, 4, 3, 3, 17, 1, 3, 13, 2, 2, 9, 6, 2, 1, 2, 4, 3, 2, 2, 6, 1, 1, 6, 2, 1,
+        15, 3, 2, 0, 2, 1, 0, 1, 3, 1, 2, 0, 5, 1, 1, 5, 3, 1, 2, 4, 3, 1, 0, 1, 3, 1, 1, 1, 2, 3,
+        4, 1, 1, 1, 1, 9, 2, 0, 0, 4, 3, 2, 3, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     };
     EXPECT_EQ(tile_counts(run.result), std::vector<int>(std::begin(kTiles), std::end(kTiles)));
-    EXPECT_EQ(run.maze_expansions, 2151);
+    EXPECT_EQ(run.maze_expansions, 2274);
     EXPECT_EQ(route_counted(p, 2).maze_expansions, run.maze_expansions);
   }
   {
     const auto p = prepare(designs::make_network_switch(4, 8).netlist);
     const auto run = route_counted(p, 4);
-    EXPECT_EQ(run.maze_routes, 2667);
-    EXPECT_EQ(run.result.total_wirelength_um, 68808.0);
-    EXPECT_EQ(run.result.overflow_edges, 798);
-    EXPECT_EQ(run.result.peak_congestion, 4.75);
+    EXPECT_EQ(run.maze_routes, 2661);
+    EXPECT_EQ(run.result.total_wirelength_um, 67544.0);
+    EXPECT_EQ(run.result.overflow_edges, 794);
+    EXPECT_EQ(run.result.peak_congestion, 5.0);
     // 1544 nets: pinned by size, sum and an FNV-1a digest of the tile counts.
     const auto tiles = tile_counts(run.result);
     ASSERT_EQ(tiles.size(), 1544u);
     long long sum = 0;
     for (int t : tiles) sum += t;
-    EXPECT_EQ(sum, 8601);
-    EXPECT_EQ(fnv1a(tiles), 0x4932092064b64d78ULL);
-    EXPECT_EQ(run.maze_expansions, 48686);
+    EXPECT_EQ(sum, 8443);
+    EXPECT_EQ(fnv1a(tiles), 0xbbc2e75ce511ecc2ULL);
+    EXPECT_EQ(run.maze_expansions, 42922);
     EXPECT_EQ(route_counted(p, 4).maze_expansions, run.maze_expansions);
+  }
+}
+
+// The paper-scale runs that route legally must stay legal: the ALU's flow a
+// and both of Firewire's flows, on both PLBs, end with no edge over
+// capacity.
+TEST(Route, CleanPaperRunsStayClean) {
+  const auto alu = designs::make_alu(32);
+  const auto firewire = designs::make_firewire();
+  for (const auto& arch : {PlbArchitecture::granular(), PlbArchitecture::lut_based()}) {
+    EXPECT_EQ(flow::run_flow(alu, arch, 'a').route_overflow_edges, 0) << "alu, " << arch.name;
+    for (const char which : {'a', 'b'})
+      EXPECT_EQ(flow::run_flow(firewire, arch, which).route_overflow_edges, 0)
+          << "firewire, " << arch.name << ", flow " << which;
   }
 }
 
@@ -237,9 +252,10 @@ struct Conn {
 };
 
 /// The router's usage grid and maze search before the search became an A*:
-/// a full-grid Dijkstra that pops in (distance, node index) order and
-/// relaxes on a strict `<`. Kept verbatim as the oracle for MazeSearch,
-/// except that the walk-back also records the path, sink first.
+/// a Dijkstra that pops in (distance, node index) order and relaxes on a
+/// strict `<`. Kept as the oracle for MazeSearch, except that it relaxes
+/// only edges inside the search box and its walk-back also records the path,
+/// sink first.
 struct ReferenceGrid {
   int w, h;
   std::vector<int> horiz;  // (w-1) * h
@@ -253,7 +269,8 @@ struct ReferenceGrid {
   int& v_edge(int x, int y) { return vert[static_cast<std::size_t>(y) * w + x]; }
 };
 
-int reference_maze_route(ReferenceGrid& g, const Conn& c, int capacity, std::vector<int>& path) {
+int reference_maze_route(ReferenceGrid& g, const Conn& c, const route::Box& box, int capacity,
+                         std::vector<int>& path) {
   const int w = g.w, h = g.h;
   const auto idx = [&](int x, int y) { return y * w + x; };
   const int n = w * h;
@@ -278,7 +295,7 @@ int reference_maze_route(ReferenceGrid& g, const Conn& c, int capacity, std::vec
     const int dx[4] = {1, -1, 0, 0}, dy[4] = {0, 0, 1, -1};
     for (int k = 0; k < 4; ++k) {
       const int nx = x + dx[k], ny = y + dy[k];
-      if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
+      if (nx < box.x0 || ny < box.y0 || nx > box.x1 || ny > box.y1) continue;
       const int usage = dx[k] != 0 ? g.h_edge(std::min(x, nx), y) : g.v_edge(x, std::min(y, ny));
       const double nd = d + edge_cost(usage);
       const int u = idx(nx, ny);
@@ -305,11 +322,25 @@ int reference_maze_route(ReferenceGrid& g, const Conn& c, int capacity, std::vec
   return edges;
 }
 
+/// Search boxes of every maze case: the whole grid, then the connection's
+/// bounding box widened by 0, 1 and 3 tiles (the router's margin) and
+/// clipped to the grid.
+constexpr int kWholeGrid = -1;
+constexpr int kBoxMargins[] = {kWholeGrid, 0, 1, 3};
+
+route::Box search_box(const Conn& c, int margin, int w, int h) {
+  if (margin == kWholeGrid) return {0, 0, w - 1, h - 1};
+  return {std::max(0, std::min(c.x0, c.x1) - margin), std::max(0, std::min(c.y0, c.y1) - margin),
+          std::min(w - 1, std::max(c.x0, c.x1) + margin),
+          std::min(h - 1, std::max(c.y0, c.y1) + margin)};
+}
+
 /// Seeded random usage grids from 2x2 to 65x65 with usages below, at and far
 /// above capacity, each with twelve connections: the four corner-to-corner
 /// ones, two with src == dst, two adjacent pairs and four random pairs.
-/// Calls visit(fast, ref, capacity, conn, trial) once per connection, on two
-/// copies of the same grid, and stops at the first fatal failure.
+/// Calls visit(fast, ref, capacity, conn, box, trial) once per connection
+/// and search box of kBoxMargins, in that order, on two copies of the same
+/// grid, and stops at the first fatal failure.
 template <typename Visit>
 void for_each_maze_case(Visit visit) {
   std::mt19937 rng(2004);
@@ -347,52 +378,55 @@ void for_each_maze_case(Visit visit) {
     }
     for (int k = 0; k < 4; ++k)
       conns.push_back({uniform(0, w - 1), uniform(0, h - 1), uniform(0, w - 1), uniform(0, h - 1)});
-    for (const Conn& c : conns) {
-      visit(fast, ref, capacity, c, trial);
-      if (::testing::Test::HasFatalFailure()) return;  // the grids may differ now
-    }
+    for (const Conn& c : conns)
+      for (const int margin : kBoxMargins) {
+        visit(fast, ref, capacity, c, search_box(c, margin, w, h), trial);
+        if (::testing::Test::HasFatalFailure()) return;  // the grids may differ now
+      }
   }
 }
 
 // One MazeSearch serves every call, so its epoch-stamped scratch is reused
-// across grids of different sizes; after each call the path and the whole
-// usage grid must equal the reference's.
+// across grids of different sizes and across search boxes; after each call
+// the path and the whole usage grid must equal the reference's.
 TEST(Maze, MatchesReferenceDijkstra) {
   route::MazeSearch search;
   int calls = 0;
   long long expansions = 0;
   for_each_maze_case([&](route::UsageGrid& fast, ReferenceGrid& ref, int capacity, const Conn& c,
-                         int trial) {
+                         const route::Box& box, int trial) {
     std::vector<int> ref_path;
-    const int ref_edges = reference_maze_route(ref, c, capacity, ref_path);
-    const int edges = search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity);
+    const int ref_edges = reference_maze_route(ref, c, box, capacity, ref_path);
+    const int edges =
+        search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity, box);
     ASSERT_EQ(edges, ref_edges) << "trial " << trial;
-    ASSERT_EQ(search.path(), ref_path) << "trial " << trial << " " << fast.w() << "x" << fast.h()
-                                       << " capacity " << capacity;
+    ASSERT_EQ(search.path(), ref_path)
+        << "trial " << trial << " " << fast.w() << "x" << fast.h() << " capacity " << capacity
+        << " box [" << box.x0 << ", " << box.x1 << "] x [" << box.y0 << ", " << box.y1 << "]";
     ASSERT_EQ(fast.horiz(), ref.horiz) << "trial " << trial;
     ASSERT_EQ(fast.vert(), ref.vert) << "trial " << trial;
     EXPECT_GT(search.expansions(), expansions);  // at least the source settles
     expansions = search.expansions();
     ++calls;
   });
-  EXPECT_EQ(calls, 48 * 12);
+  EXPECT_EQ(calls, 48 * 12 * 4);
 }
 
-// The search settles exactly {v : dist(v) + h(v) <= f*}, where f* = dist(sink):
-// no more (it stops at the first key above f*) and no fewer (it does not stop
-// when the sink pops). dist comes from a full-grid Dijkstra and h from cut
-// minima found by brute force.
+// The search settles exactly {v in box : dist(v) + h(v) <= f*}, where
+// f* = dist(sink): no more (it stops at the first key above f*) and no fewer
+// (it does not stop when the sink pops). dist comes from a Dijkstra confined
+// to the box and h from the whole grid's cut minima found by brute force.
 TEST(Maze, SettlesExactlyTheNodesWithinFStar) {
   route::MazeSearch search;
   int calls = 0;
   for_each_maze_case([&](route::UsageGrid& fast, ReferenceGrid& ref, int capacity, const Conn& c,
-                         int trial) {
+                         const route::Box& box, int trial) {
     const int w = ref.w, h = ref.h;
     const auto cost = [capacity](int usage) -> std::int64_t {
       const std::int64_t over = usage + 1 - capacity;
       return over > 0 ? 1 + 4 * over * over : 1;
     };
-    // Full-grid Dijkstra from the source.
+    // Dijkstra from the source, confined to the box.
     constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
     std::vector<std::int64_t> dist(static_cast<std::size_t>(w) * h, kInf);
     using Entry = std::pair<std::int64_t, int>;
@@ -407,7 +441,7 @@ TEST(Maze, SettlesExactlyTheNodesWithinFStar) {
       const int dx[4] = {1, -1, 0, 0}, dy[4] = {0, 0, 1, -1};
       for (int k = 0; k < 4; ++k) {
         const int nx = x + dx[k], ny = y + dy[k];
-        if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
+        if (nx < box.x0 || ny < box.y0 || nx > box.x1 || ny > box.y1) continue;
         const int usage =
             dx[k] != 0 ? ref.h_edge(std::min(x, nx), y) : ref.v_edge(x, std::min(y, ny));
         const std::int64_t nd = d + cost(usage);
@@ -432,8 +466,8 @@ TEST(Maze, SettlesExactlyTheNodesWithinFStar) {
     }
     const std::int64_t f_star = dist[static_cast<std::size_t>(c.y1 * w + c.x1)];
     long long within = 0;
-    for (int y = 0; y < h; ++y)
-      for (int x = 0; x < w; ++x) {
+    for (int y = box.y0; y <= box.y1; ++y)
+      for (int x = box.x0; x <= box.x1; ++x) {
         std::int64_t hv = 0;
         for (int k = std::min(x, c.x1); k < std::max(x, c.x1); ++k)
           hv += col_cut[static_cast<std::size_t>(k)];
@@ -443,14 +477,15 @@ TEST(Maze, SettlesExactlyTheNodesWithinFStar) {
       }
 
     const long long before = search.expansions();
-    search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity);
+    search.route(fast, fast.node(c.x0, c.y0), fast.node(c.x1, c.y1), capacity, box);
     ASSERT_EQ(search.expansions() - before, within)
-        << "trial " << trial << " " << w << "x" << h << " capacity " << capacity;
+        << "trial " << trial << " " << w << "x" << h << " capacity " << capacity << " box ["
+        << box.x0 << ", " << box.x1 << "] x [" << box.y0 << ", " << box.y1 << "]";
     std::vector<int> ref_path;
-    reference_maze_route(ref, c, capacity, ref_path);  // keeps both grids equal
+    reference_maze_route(ref, c, box, capacity, ref_path);  // keeps both grids equal
     ++calls;
   });
-  EXPECT_EQ(calls, 48 * 12);
+  EXPECT_EQ(calls, 48 * 12 * 4);
 }
 
 TEST(Sta, CombinationalDelayPositive) {
